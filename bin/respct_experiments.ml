@@ -1,7 +1,6 @@
-(* Command-line front end for the evaluation harness: pick experiments,
-   scale, seed and thread sweep without recompiling. The default `bench`
-   executable runs everything; this tool is for exploring single data
-   points, e.g.
+(* Command-line front end for the evaluation harness: regenerate the
+   paper's figures, or pick single data points, scale, seed and thread
+   sweep without recompiling, e.g.
 
      respct_experiments map --system respct --threads 16 --update 90
      respct_experiments queue --system pmthreads --threads 64
@@ -135,7 +134,7 @@ let recover_cmd =
       (fun (label, cells) ->
         Printf.printf "buckets=%s recovery=%sms entries=%s rolled-back=%s\n"
           label (List.nth cells 0) (List.nth cells 1) (List.nth cells 2))
-      (Experiments.fig12 ~scale:s ())
+      (Experiments.fig12_rows (Experiments.fig12_points ~scale:s ()))
   in
   Cmd.v
     (Cmd.info "recover" ~doc:"Crash + parallel recovery (Figure 12 style).")
@@ -143,56 +142,74 @@ let recover_cmd =
 
 let figures_cmd =
   let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"FIGURE" ~doc:"fig8..fig14")
-  in
-  let run scale names =
-    let app_scale =
-      if scale.Experiments.label = "paper" then App_experiments.paper
-      else App_experiments.small
+    let choices =
+      List.map (fun (n, _) -> (n, [ n ])) Figures.all
+      @ [ ("all", List.map fst Figures.all) ]
     in
-    let print_rows title header rows = Table.print ~title ~header rows in
-    List.iter
-      (fun name ->
-        match name with
-        | "fig8" ->
-            List.iter
-              (fun (pct, rows) ->
-                print_rows
-                  (Printf.sprintf "Figure 8 (%d%% updates)" pct)
-                  ("threads:"
-                  :: List.map string_of_int scale.Experiments.sweep_threads)
-                  rows)
-              (Experiments.fig8 ~scale ())
-        | "fig9" ->
-            print_rows "Figure 9"
-              ("threads:"
-              :: List.map string_of_int scale.Experiments.sweep_threads)
-              (Experiments.fig9 ~scale ())
-        | "fig10" ->
-            print_rows "Figure 10"
-              [ "config:"; "Queue"; "HashMap-RI"; "HashMap-WI" ]
-              (Experiments.fig10 ~scale ())
-        | "fig11" ->
-            print_rows "Figure 11"
-              [ "period"; "norm. throughput"; "effective period" ]
-              (Experiments.fig11 ~scale ())
-        | "fig12" ->
-            print_rows "Figure 12"
-              [ "buckets"; "recovery (ms)"; "entries"; "rolled back" ]
-              (Experiments.fig12 ~scale ())
-        | "fig13" ->
-            print_rows "Figure 13"
-              [ "config:"; "Dedup"; "Swaptions"; "MatMul"; "LR" ]
-              (App_experiments.fig13 ~scale:app_scale ())
-        | "fig14" ->
-            print_rows "Figure 14"
-              [ "config:"; "RI"; "balanced"; "WI" ]
-              (App_experiments.fig14 ~scale:app_scale ())
-        | other -> Printf.eprintf "unknown figure %s\n" other)
-      names
+    Arg.(
+      value
+      & pos_all (enum choices) []
+      & info [] ~docv:"FIGURE"
+          ~doc:"fig8..fig14, tab2, tab3 or all (the default).")
   in
-  Cmd.v (Cmd.info "figures" ~doc:"Regenerate selected figures.")
-    Term.(const run $ scale_arg $ names)
+  let json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "Also write the structured results of Figures 8-12 (per-point \
+             throughput, memory-event counters, metric registry, span \
+             breakdown) to $(docv).")
+  in
+  let run scale names json =
+    let selected =
+      match List.concat names with
+      | [] -> Figures.all
+      | l -> List.filter (fun (n, _) -> List.mem n l) Figures.all
+    in
+    (* Fail on an unwritable sink now, not after minutes of experiments. *)
+    Option.iter
+      (fun path ->
+        try close_out (open_out path)
+        with Sys_error msg ->
+          Printf.eprintf "cannot write --json sink: %s\n" msg;
+          exit 2)
+      json;
+    Printf.printf
+      "ResPCT evaluation harness — scale=%s (virtual-time results; see \
+       EXPERIMENTS.md)\n"
+      scale.Experiments.label;
+    let experiments =
+      List.filter_map
+        (fun (name, figure) ->
+          let t0 = Unix.gettimeofday () in
+          let out = figure scale in
+          List.iter
+            (fun t ->
+              Table.print ~title:t.Figures.title ~header:t.Figures.header
+                t.Figures.rows)
+            out.Figures.tables;
+          Printf.printf "[%s done in %.1fs wall]\n%!" name
+            (Unix.gettimeofday () -. t0);
+          out.Figures.json)
+        selected
+    in
+    Option.iter
+      (fun path ->
+        Obs.Json.to_file path
+          (Obs.Run.document
+             ~meta:[ ("scale", Obs.Json.String scale.Experiments.label) ]
+             experiments);
+        Printf.printf "[structured results written to %s]\n%!" path)
+      json
+  in
+  Cmd.v
+    (Cmd.info "figures"
+       ~doc:
+         "Regenerate the paper's figures and tables: one table per figure, \
+          and with --json one results document.")
+    Term.(const run $ scale_arg $ names $ json)
 
 let integrity_cmd =
   let threads_opt =

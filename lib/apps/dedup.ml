@@ -78,12 +78,8 @@ let run env persistence (cfg : cfg) =
         table :=
           Some (`Respct (Pds.Hashmap_respct.create rt ~slot:0 ~buckets:4096))
     | App_env.Transient ->
-        let mcfg = Simnvm.Memsys.config (Simsched.Env.mem env) in
-        let bump =
-          Pds.Bump.create env
-            ~base:(mcfg.Simnvm.Memsys.nvm_words / 2)
-            ~limit:mcfg.Simnvm.Memsys.nvm_words
-        in
+        let nvm_words = (Simsched.Env.backend env).Simnvm.Backend.nvm_words in
+        let bump = Pds.Bump.create env ~base:(nvm_words / 2) ~limit:nvm_words in
         table :=
           Some
             (`Transient

@@ -77,11 +77,11 @@ let run env persistence (cfg : cfg) =
         | App_env.Durable rt ->
             `Respct (Pds.Hashmap_respct.create rt ~slot:0 ~buckets:cfg.buckets)
         | App_env.Transient ->
-            let mcfg = Simnvm.Memsys.config (Simsched.Env.mem env) in
+            let nvm_words =
+              (Simsched.Env.backend env).Simnvm.Backend.nvm_words
+            in
             let bump =
-              Pds.Bump.create env
-                ~base:(mcfg.Simnvm.Memsys.nvm_words / 2)
-                ~limit:mcfg.Simnvm.Memsys.nvm_words
+              Pds.Bump.create env ~base:(nvm_words / 2) ~limit:nvm_words
             in
             `Transient
               (Pds.Hashmap_transient.create env

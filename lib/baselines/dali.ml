@@ -30,29 +30,29 @@ let bucket t key = (key land max_int) mod t.buckets
 (* Epoch boundary: flush every dirty bucket's chain, then compact it
    (newest version per key wins; tombstones and stale versions retire). *)
 let epoch_body t () =
-  let m = Simsched.Env.mem t.env in
-  let saved = Simnvm.Memsys.get_charge m in
+  let be = Simsched.Env.backend t.env in
+  let saved = be.Simnvm.Backend.get_charge () in
   let acc = ref 0.0 in
-  Simnvm.Memsys.set_charge m (fun ns -> acc := !acc +. ns);
+  be.Simnvm.Backend.set_charge (fun ns -> acc := !acc +. ns);
   Hashtbl.iter
     (fun b () ->
       let head_addr = t.heads + b in
-      Simnvm.Memsys.pwb m head_addr;
+      be.Simnvm.Backend.pwb head_addr;
       (* flush the chain records *)
       let rec flush_chain node =
         if node <> 0 then begin
-          Simnvm.Memsys.pwb m node;
-          flush_chain (Simnvm.Memsys.load m (node + 2))
+          be.Simnvm.Backend.pwb node;
+          flush_chain (be.Simnvm.Backend.load (node + 2))
         end
       in
-      flush_chain (Simnvm.Memsys.load m head_addr);
+      flush_chain (be.Simnvm.Backend.load head_addr);
       (* compact: rebuild keeping the newest version of each key *)
       let seen = Hashtbl.create 8 in
       let keep = ref [] in
       let rec scan node =
         if node <> 0 then begin
-          let key = Simnvm.Memsys.load m node in
-          let value = Simnvm.Memsys.load m (node + 1) in
+          let key = be.Simnvm.Backend.load node in
+          let value = be.Simnvm.Backend.load (node + 1) in
           if not (Hashtbl.mem seen key) then begin
             Hashtbl.add seen key ();
             if value <> tombstone then keep := node :: !keep
@@ -62,34 +62,34 @@ let epoch_body t () =
             Pds.Bump.free t.nvm_bump node ~words:record_words;
             t.compacted <- t.compacted + 1
           end;
-          scan (Simnvm.Memsys.load m (node + 2))
+          scan (be.Simnvm.Backend.load (node + 2))
         end
       in
-      scan (Simnvm.Memsys.load m head_addr);
+      scan (be.Simnvm.Backend.load head_addr);
       (* !keep is oldest-first; relink preserving newest-first order *)
       let new_head =
         List.fold_left
           (fun next node ->
-            Simnvm.Memsys.store m (node + 2) next;
-            Simnvm.Memsys.pwb m node;
+            be.Simnvm.Backend.store (node + 2) next;
+            be.Simnvm.Backend.pwb node;
             node)
           0 !keep
       in
-      Simnvm.Memsys.store m head_addr new_head;
-      Simnvm.Memsys.pwb m head_addr)
+      be.Simnvm.Backend.store head_addr new_head;
+      be.Simnvm.Backend.pwb head_addr)
     t.dirty;
-  Simnvm.Memsys.psync m;
-  Simnvm.Memsys.set_charge m saved;
+  be.Simnvm.Backend.psync ();
+  be.Simnvm.Backend.set_charge saved;
   Simsched.Scheduler.charge (Simsched.Env.sched t.env)
     (!acc /. float_of_int (max 1 t.flusher_pool));
   Hashtbl.reset t.dirty
 
 let create env ~max_threads ~period_ns ~flusher_pool ~buckets =
   let sched = Simsched.Env.sched env in
-  let mcfg = Simnvm.Memsys.config (Simsched.Env.mem env) in
-  let lw = mcfg.Simnvm.Memsys.line_words in
+  let b = Simsched.Env.backend env in
   let nvm_bump =
-    Pds.Bump.create env ~base:lw ~limit:mcfg.Simnvm.Memsys.nvm_words
+    Pds.Bump.create env ~base:b.Simnvm.Backend.line_words
+      ~limit:b.Simnvm.Backend.nvm_words
   in
   let heads = Pds.Bump.alloc nvm_bump ~words:buckets in
   let t =
@@ -156,15 +156,6 @@ let remove t ~slot:_ ~key =
             true
           end)
 
-let system t : Pds.Ops.system =
-  {
-    Pds.Ops.sys_register = (fun ~slot -> Epoch_gate.register t.gate ~slot);
-    sys_deregister = (fun ~slot -> Epoch_gate.deregister t.gate ~slot);
-    sys_allow = (fun ~slot -> Epoch_gate.allow t.gate ~slot);
-    sys_prevent = (fun ~slot -> Epoch_gate.prevent t.gate ~slot);
-    sys_stop = (fun () -> Epoch_gate.stop t.gate);
-  }
-
 let make_map env ~max_threads ~period_ns ~flusher_pool ~buckets =
   let t = create env ~max_threads ~period_ns ~flusher_pool ~buckets in
   ( {
@@ -173,4 +164,4 @@ let make_map env ~max_threads ~period_ns ~flusher_pool ~buckets =
       search = (fun ~slot ~key -> search t ~slot ~key);
       map_rp = (fun ~slot ~id:_ -> Epoch_gate.pause_point t.gate ~slot);
     },
-    system t )
+    Epoch_gate.system t.gate )

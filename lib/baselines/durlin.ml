@@ -8,13 +8,14 @@
 let log_words_per_slot = 4096
 
 let setup env ~policy ~max_threads =
-  let mcfg = Simnvm.Memsys.config (Simsched.Env.mem env) in
+  let b = Simsched.Env.backend env in
   let log_base =
-    mcfg.Simnvm.Memsys.nvm_words - (max_threads * log_words_per_slot)
+    b.Simnvm.Backend.nvm_words - (max_threads * log_words_per_slot)
   in
   let fa = Fatomic.create env ~policy ~max_threads ~log_base ~log_words_per_slot in
-  let lw = mcfg.Simnvm.Memsys.line_words in
-  let bump = Pds.Bump.create env ~base:lw ~limit:log_base in
+  let bump =
+    Pds.Bump.create env ~base:b.Simnvm.Backend.line_words ~limit:log_base
+  in
   (fa, Fatomic.mem fa bump)
 
 let map_ops fa m =

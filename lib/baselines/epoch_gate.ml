@@ -110,3 +110,12 @@ let start t ~period_ns body =
 
 let stop t = t.stop_requested <- true
 let epochs t = t.epochs
+
+let system t =
+  {
+    Pds.Ops.sys_register = (fun ~slot -> register t ~slot);
+    sys_deregister = (fun ~slot -> deregister t ~slot);
+    sys_allow = (fun ~slot -> allow t ~slot);
+    sys_prevent = (fun ~slot -> prevent t ~slot);
+    sys_stop = (fun () -> stop t);
+  }

@@ -32,3 +32,6 @@ val stop : t -> unit
 
 val epochs : t -> int
 (** Completed epoch boundaries. *)
+
+val system : t -> Pds.Ops.system
+(** The gate as a workload's system hooks (register, allow, stop, ...). *)

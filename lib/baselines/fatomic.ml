@@ -89,9 +89,9 @@ let create env ~policy ~max_threads ~log_base ~log_words_per_slot =
 let set_shadow t on = t.shadow <- on
 
 let snapshot_line t line =
-  let mem = Simsched.Env.mem t.env in
+  let b = Simsched.Env.backend t.env in
   Array.init t.line_words (fun off ->
-      Simnvm.Memsys.peek mem ((line * t.line_words) + off))
+      b.Simnvm.Backend.peek ((line * t.line_words) + off))
 
 (* Undo-log one variable (Clobber): the entry must reach NVMM before the
    overwrite, hence the fence on the write-ahead path. *)
@@ -115,9 +115,9 @@ let intercepted_store t ~slot addr v =
   Simsched.Scheduler.charge (Simsched.Env.sched t.env) interception_ns;
   let line = Simnvm.Addr.line_of ~line_words:t.line_words addr in
   if t.shadow then begin
-    let mem = Simsched.Env.mem t.env in
     if not (Hashtbl.mem ctx.pre_words addr) then
-      Hashtbl.replace ctx.pre_words addr (Simnvm.Memsys.peek mem addr);
+      Hashtbl.replace ctx.pre_words addr
+        ((Simsched.Env.backend t.env).Simnvm.Backend.peek addr);
     if not (Hashtbl.mem ctx.line_snaps line) then
       Hashtbl.replace ctx.line_snaps line [ snapshot_line t line ]
   end;
@@ -183,7 +183,7 @@ type shadow_recovery =
   | Torn_line of int  (** persisted line state unreachable under PCSO *)
 
 let recover_shadow t =
-  let mem = Simsched.Env.mem t.env in
+  let b = Simsched.Env.backend t.env in
   let torn = ref None in
   let rolled = ref 0 in
   Array.iter
@@ -194,7 +194,7 @@ let recover_shadow t =
           Hashtbl.fold (fun addr pre acc -> (addr, pre) :: acc) ctx.pre_words []
           |> List.sort compare
           |> List.iter (fun (addr, pre) ->
-                 Simnvm.Memsys.poke_persisted mem addr pre)
+                 b.Simnvm.Backend.poke_persisted addr pre)
       | Quadra ->
           if Hashtbl.length ctx.line_snaps > 0 then incr rolled;
           Hashtbl.fold (fun line snaps acc -> (line, snaps) :: acc)
@@ -203,13 +203,13 @@ let recover_shadow t =
           |> List.iter (fun (line, snaps) ->
                  let current =
                    Array.init t.line_words (fun off ->
-                       Simnvm.Memsys.persisted mem ((line * t.line_words) + off))
+                       b.Simnvm.Backend.persisted ((line * t.line_words) + off))
                  in
                  if List.exists (fun s -> s = current) snaps then
                    let pre = List.nth snaps (List.length snaps - 1) in
                    Array.iteri
                      (fun off v ->
-                       Simnvm.Memsys.poke_persisted mem
+                       b.Simnvm.Backend.poke_persisted
                          ((line * t.line_words) + off)
                          v)
                      pre

@@ -18,10 +18,10 @@ type t = {
 }
 
 let create env =
-  let mcfg = Simnvm.Memsys.config (Simsched.Env.mem env) in
-  let lw = mcfg.Simnvm.Memsys.line_words in
+  let b = Simsched.Env.backend env in
+  let lw = b.Simnvm.Backend.line_words in
   let nvm_bump =
-    Pds.Bump.create env ~base:(2 * lw) ~limit:mcfg.Simnvm.Memsys.nvm_words
+    Pds.Bump.create env ~base:(2 * lw) ~limit:b.Simnvm.Backend.nvm_words
   in
   let ptrs = lw (* head and tail in one line of their own *) in
   let sentinel = Pds.Bump.alloc nvm_bump ~words:node_words in

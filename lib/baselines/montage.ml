@@ -25,21 +25,21 @@ type t = {
 }
 
 let epoch_body t () =
-  let m = Simsched.Env.mem t.env in
-  let saved = Simnvm.Memsys.get_charge m in
+  let b = Simsched.Env.backend t.env in
+  let saved = b.Simnvm.Backend.get_charge () in
   let acc = ref 0.0 in
-  Simnvm.Memsys.set_charge m (fun ns -> acc := !acc +. ns);
+  b.Simnvm.Backend.set_charge (fun ns -> acc := !acc +. ns);
   Array.iter
     (fun l ->
       List.iter
         (fun p ->
-          Simnvm.Memsys.pwb m p;
+          b.Simnvm.Backend.pwb p;
           t.flushed_payloads <- t.flushed_payloads + 1)
         !l;
       l := [])
     t.to_flush;
-  Simnvm.Memsys.psync m;
-  Simnvm.Memsys.set_charge m saved;
+  b.Simnvm.Backend.psync ();
+  b.Simnvm.Backend.set_charge saved;
   Simsched.Scheduler.charge (Simsched.Env.sched t.env)
     (!acc /. float_of_int (max 1 t.flusher_pool));
   (* Epoch-based reclamation: payloads retired during the epoch that just
@@ -52,8 +52,8 @@ let epoch_body t () =
 
 let create env ~max_threads ~period_ns ~flusher_pool =
   let sched = Simsched.Env.sched env in
-  let mcfg = Simnvm.Memsys.config (Simsched.Env.mem env) in
-  let lw = mcfg.Simnvm.Memsys.line_words in
+  let b = Simsched.Env.backend env in
+  let lw = b.Simnvm.Backend.line_words in
   let t =
     {
       env;
@@ -61,7 +61,7 @@ let create env ~max_threads ~period_ns ~flusher_pool =
       alloc_lock = Simsched.Mutex.create ~name:"montage-alloc" ();
       nvm_bump =
         Pds.Bump.create env ~base:lw
-          ~limit:(mcfg.Simnvm.Memsys.nvm_words - lw);
+          ~limit:(b.Simnvm.Backend.nvm_words - lw);
       to_flush = Array.init max_threads (fun _ -> ref []);
       retired = Array.init max_threads (fun _ -> ref []);
       flusher_pool;
@@ -91,27 +91,13 @@ let retire t ~slot p =
   let l = t.retired.(slot) in
   l := (p, payload_words) :: !l
 
-let dram_bump t =
-  let mcfg = Simnvm.Memsys.config (Simsched.Env.mem t.env) in
-  let base = mcfg.Simnvm.Memsys.nvm_words in
-  Pds.Bump.create t.env ~base ~limit:(base + mcfg.Simnvm.Memsys.dram_words)
-
-let system t : Pds.Ops.system =
-  {
-    Pds.Ops.sys_register = (fun ~slot -> Epoch_gate.register t.gate ~slot);
-    sys_deregister = (fun ~slot -> Epoch_gate.deregister t.gate ~slot);
-    sys_allow = (fun ~slot -> Epoch_gate.allow t.gate ~slot);
-    sys_prevent = (fun ~slot -> Epoch_gate.prevent t.gate ~slot);
-    sys_stop = (fun () -> Epoch_gate.stop t.gate);
-  }
-
 (* Map: DRAM index from keys to payload addresses; reads go through to the
    payload in NVMM. *)
 let make_map env ~max_threads ~period_ns ~flusher_pool ~buckets =
   let t = create env ~max_threads ~period_ns ~flusher_pool in
   let index =
     Pds.Hashmap_transient.create env
-      (Pds.Mem_iface.of_env_bump env (dram_bump t))
+      (Pds.Mem_iface.of_env_bump env (Pds.Bump.dram env))
       ~buckets
   in
   let insert ~slot ~key ~value =
@@ -138,7 +124,7 @@ let make_map env ~max_threads ~period_ns ~flusher_pool ~buckets =
       search;
       map_rp = (fun ~slot ~id:_ -> Epoch_gate.pause_point t.gate ~slot);
     },
-    system t )
+    Epoch_gate.system t.gate )
 
 (* Queue: DRAM sentinel list of payload pointers, a single lock, and the
    persistent global sequence number updated inside the critical section —
@@ -148,10 +134,10 @@ let make_map env ~max_threads ~period_ns ~flusher_pool ~buckets =
 let make_queue env ~max_threads ~period_ns ~flusher_pool =
   let t = create env ~max_threads ~period_ns ~flusher_pool in
   let sched = Simsched.Env.sched t.env in
-  let mcfg = Simnvm.Memsys.config (Simsched.Env.mem t.env) in
+  let b = Simsched.Env.backend t.env in
   (* the global persistent sequence number lives in its own line *)
-  let seq_addr = mcfg.Simnvm.Memsys.nvm_words - mcfg.Simnvm.Memsys.line_words in
-  let bump = dram_bump t in
+  let seq_addr = b.Simnvm.Backend.nvm_words - b.Simnvm.Backend.line_words in
+  let bump = Pds.Bump.dram t.env in
   let lock = Simsched.Mutex.create ~name:"montage-queue" () in
   (* DRAM node: [payload; next]; head/tail pointers in DRAM too *)
   let ptrs = Pds.Bump.alloc bump ~words:2 in
@@ -191,4 +177,4 @@ let make_queue env ~max_threads ~period_ns ~flusher_pool =
       dequeue;
       queue_rp = (fun ~slot ~id:_ -> Epoch_gate.pause_point t.gate ~slot);
     },
-    system t )
+    Epoch_gate.system t.gate )

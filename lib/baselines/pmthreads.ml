@@ -86,23 +86,11 @@ let mem t bump =
     free = (fun ~slot:_ addr ~words -> Pds.Bump.free bump addr ~words);
   }
 
-let system t : Pds.Ops.system =
-  {
-    Pds.Ops.sys_register = (fun ~slot -> Epoch_gate.register t.gate ~slot);
-    sys_deregister = (fun ~slot -> Epoch_gate.deregister t.gate ~slot);
-    sys_allow = (fun ~slot -> Epoch_gate.allow t.gate ~slot);
-    sys_prevent = (fun ~slot -> Epoch_gate.prevent t.gate ~slot);
-    sys_stop = (fun () -> Epoch_gate.stop t.gate);
-  }
-
-let dram_bump t =
-  let mcfg = Simnvm.Memsys.config (Simsched.Env.mem t.env) in
-  let base = mcfg.Simnvm.Memsys.nvm_words in
-  Pds.Bump.create t.env ~base ~limit:(base + mcfg.Simnvm.Memsys.dram_words)
-
 let make_map env ~max_threads ~period_ns ~flusher_pool ~buckets =
   let t = create env ~max_threads ~period_ns ~flusher_pool in
-  let m = Pds.Hashmap_transient.create env (mem t (dram_bump t)) ~buckets in
+  let m =
+    Pds.Hashmap_transient.create env (mem t (Pds.Bump.dram env)) ~buckets
+  in
   let ops =
     {
       (Pds.Hashmap_transient.ops m) with
@@ -110,11 +98,11 @@ let make_map env ~max_threads ~period_ns ~flusher_pool ~buckets =
         (fun ~slot ~id:_ -> Epoch_gate.pause_point t.gate ~slot);
     }
   in
-  (ops, system t)
+  (ops, Epoch_gate.system t.gate)
 
 let make_queue env ~max_threads ~period_ns ~flusher_pool =
   let t = create env ~max_threads ~period_ns ~flusher_pool in
-  let q = Pds.Queue_transient.create env (mem t (dram_bump t)) in
+  let q = Pds.Queue_transient.create env (mem t (Pds.Bump.dram env)) in
   let ops =
     {
       (Pds.Queue_transient.ops q) with
@@ -122,4 +110,4 @@ let make_queue env ~max_threads ~period_ns ~flusher_pool =
         (fun ~slot ~id:_ -> Epoch_gate.pause_point t.gate ~slot);
     }
   in
-  (ops, system t)
+  (ops, Epoch_gate.system t.gate)

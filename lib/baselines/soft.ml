@@ -29,14 +29,12 @@ type t = {
 }
 
 let create env ~buckets =
-  let mcfg = Simnvm.Memsys.config (Simsched.Env.mem env) in
-  let lw = mcfg.Simnvm.Memsys.line_words in
-  let dram_base = mcfg.Simnvm.Memsys.nvm_words in
-  let dram_bump =
-    Pds.Bump.create env ~base:dram_base
-      ~limit:(dram_base + mcfg.Simnvm.Memsys.dram_words)
+  let b = Simsched.Env.backend env in
+  let dram_bump = Pds.Bump.dram env in
+  let nvm_bump =
+    Pds.Bump.create env ~base:b.Simnvm.Backend.line_words
+      ~limit:b.Simnvm.Backend.nvm_words
   in
-  let nvm_bump = Pds.Bump.create env ~base:lw ~limit:mcfg.Simnvm.Memsys.nvm_words in
   let heads = Pds.Bump.alloc dram_bump ~words:buckets in
   { env; buckets; heads; dram_bump; nvm_bump }
 

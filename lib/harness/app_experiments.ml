@@ -67,8 +67,8 @@ let app_world (s : app_scale) variant ~nthreads ~nvm_words =
     | App_dram -> Systems.Transient_dram
     | App_nvm | App_respct -> Systems.Transient_nvm
   in
-  let _mem, _sched, env = Systems.world p ~kind in
-  let mcfg = Simnvm.Memsys.config (Simsched.Env.mem env) in
+  let mem, _sched, env = Systems.world p ~kind in
+  let mcfg = Simnvm.Memsys.config mem in
   let lw = mcfg.Simnvm.Memsys.line_words in
   match variant with
   | App_respct ->
@@ -77,12 +77,7 @@ let app_world (s : app_scale) variant ~nthreads ~nvm_words =
       (* transient arena unused by durable apps, but harmless to provide *)
       let bump = Pds.Bump.create env ~base:lw ~limit:(mcfg.Simnvm.Memsys.nvm_words / 2) in
       (env, Apps.App_env.Durable rt, bump)
-  | App_dram ->
-      let base = mcfg.Simnvm.Memsys.nvm_words in
-      let bump =
-        Pds.Bump.create env ~base ~limit:(base + mcfg.Simnvm.Memsys.dram_words)
-      in
-      (env, Apps.App_env.Transient, bump)
+  | App_dram -> (env, Apps.App_env.Transient, Pds.Bump.dram env)
   | App_nvm ->
       let bump =
         Pds.Bump.create env ~base:lw ~limit:(mcfg.Simnvm.Memsys.nvm_words / 2)

@@ -1,6 +1,7 @@
-(* The paper's evaluation experiments (section 5.1-5.2): one function per
-   figure, returning labelled rows ready for Table.print and for
-   EXPERIMENTS.md.
+(* The paper's evaluation experiments (section 5.1-5.2): per figure, a
+   [figN_points] function computing its instrumented points and a
+   [figN_rows] function formatting them as labelled rows for Table.print
+   (Figures renders the same points as JSON).
 
    Scaling: one simulated memory operation costs tens of virtual
    nanoseconds, exactly like the hardware, but wall-clock budgets limit how
@@ -57,11 +58,6 @@ let paper =
     recovery_threads = 32;
   }
 
-let scale_of_string = function
-  | "small" -> small
-  | "paper" -> paper
-  | s -> invalid_arg (Printf.sprintf "unknown scale %S (small|paper)" s)
-
 (* Memory geometry scaled to the structure size: nodes + registry + slack. *)
 let params_for (s : scale) ~threads ~kind:_ =
   let pow2_above n =
@@ -99,11 +95,11 @@ let params_for (s : scale) ~threads ~kind:_ =
     cache_ways = 16;
   }
 
-let map_point ?(update_pct = 50) ?params (s : scale) kind ~threads =
-  let p =
-    match params with Some p -> p | None -> params_for s ~threads ~kind
-  in
-  let sched, env, rt, build = Systems.map_system p kind in
+(* One data point's fresh world, system and workload; the world is sized
+   by [params_for] unless [params] overrides it. *)
+let map_setup ~update_pct ?params (s : scale) kind ~threads =
+  let p = Option.value params ~default:(params_for s ~threads ~kind) in
+  let mem, sched, rt, build = Systems.map_system p kind in
   let wl =
     {
       Workload.nthreads = threads;
@@ -114,14 +110,11 @@ let map_point ?(update_pct = 50) ?params (s : scale) kind ~threads =
       seed = p.Systems.seed;
     }
   in
-  let r = Workload.run_map ~mem:(Simsched.Env.mem env) ~sched ~params:wl ~build () in
-  (r, rt)
+  (mem, sched, rt, build, wl)
 
-let queue_point ?params (s : scale) kind ~threads =
-  let p =
-    match params with Some p -> p | None -> params_for s ~threads ~kind
-  in
-  let sched, env, rt, build = Systems.queue_system p kind in
+let queue_setup ?params (s : scale) kind ~threads =
+  let p = Option.value params ~default:(params_for s ~threads ~kind) in
+  let mem, sched, rt, build = Systems.queue_system p kind in
   let wl =
     {
       Workload.q_nthreads = threads;
@@ -130,10 +123,17 @@ let queue_point ?params (s : scale) kind ~threads =
       q_seed = p.Systems.seed;
     }
   in
-  let r =
-    Workload.run_queue ~mem:(Simsched.Env.mem env) ~sched ~params:wl ~build ()
+  (mem, sched, rt, build, wl)
+
+let map_point ?(update_pct = 50) ?params s kind ~threads =
+  let mem, sched, rt, build, wl =
+    map_setup ~update_pct ?params s kind ~threads
   in
-  (r, rt)
+  (Workload.run_map ~mem ~sched ~params:wl ~build (), rt)
+
+let queue_point ?params s kind ~threads =
+  let mem, sched, rt, build, wl = queue_setup ?params s kind ~threads in
+  (Workload.run_queue ~mem ~sched ~params:wl ~build (), rt)
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented points: the same worlds as [map_point]/[queue_point], with
@@ -166,33 +166,20 @@ let workload_extra (r : Workload.result) =
     ("elapsed_ns", Obs.Json.Float r.Workload.elapsed_ns);
   ]
 
-let instrument env rt =
-  let mem = Simsched.Env.mem env in
+let instrument mem rt =
   let registry = Obs.Metrics.create () in
   let _probe, _sub = Obs.Memobs.attach registry mem in
   let spans = Obs.Span.create () in
   Option.iter (fun rt -> Respct.Runtime.set_spans rt spans) rt;
   (registry, spans, fun () -> Obs.Metrics.reset registry)
 
-let map_point_obs ?(update_pct = 50) ?params (s : scale) kind ~threads =
-  let p =
-    match params with Some p -> p | None -> params_for s ~threads ~kind
+let map_point_obs ?(update_pct = 50) ?params s kind ~threads =
+  let mem, sched, rt, build, wl =
+    map_setup ~update_pct ?params s kind ~threads
   in
-  let sched, env, rt, build = Systems.map_system p kind in
-  let registry, spans, reset = instrument env rt in
-  let wl =
-    {
-      Workload.nthreads = threads;
-      duration_ns = s.duration_ns;
-      key_space = 2 * s.buckets;
-      update_pct;
-      prefill = s.map_prefill;
-      seed = p.Systems.seed;
-    }
-  in
+  let registry, spans, reset = instrument mem rt in
   let r =
-    Workload.run_map ~mem:(Simsched.Env.mem env) ~on_window:reset ~sched
-      ~params:wl ~build ()
+    Workload.run_map ~mem ~on_window:reset ~sched ~params:wl ~build ()
   in
   Obs.Run.point
     ~params:
@@ -202,28 +189,16 @@ let map_point_obs ?(update_pct = 50) ?params (s : scale) kind ~threads =
         ("update_pct", Obs.Json.Int update_pct);
       ]
     ~throughput_mops:r.Workload.mops
-    ~stats:(Simnvm.Memsys.stats (Simsched.Env.mem env))
+    ~stats:(Simnvm.Memsys.stats mem)
     ~metrics:registry ~spans
     ~extra:(workload_extra r @ checkpoint_extra rt)
     (Systems.name_of kind)
 
-let queue_point_obs ?params (s : scale) kind ~threads =
-  let p =
-    match params with Some p -> p | None -> params_for s ~threads ~kind
-  in
-  let sched, env, rt, build = Systems.queue_system p kind in
-  let registry, spans, reset = instrument env rt in
-  let wl =
-    {
-      Workload.q_nthreads = threads;
-      q_duration_ns = s.duration_ns;
-      q_prefill = s.queue_prefill;
-      q_seed = p.Systems.seed;
-    }
-  in
+let queue_point_obs ?params s kind ~threads =
+  let mem, sched, rt, build, wl = queue_setup ?params s kind ~threads in
+  let registry, spans, reset = instrument mem rt in
   let r =
-    Workload.run_queue ~mem:(Simsched.Env.mem env) ~on_window:reset ~sched
-      ~params:wl ~build ()
+    Workload.run_queue ~mem ~on_window:reset ~sched ~params:wl ~build ()
   in
   Obs.Run.point
     ~params:
@@ -232,7 +207,7 @@ let queue_point_obs ?params (s : scale) kind ~threads =
         ("threads", Obs.Json.Int threads);
       ]
     ~throughput_mops:r.Workload.mops
-    ~stats:(Simnvm.Memsys.stats (Simsched.Env.mem env))
+    ~stats:(Simnvm.Memsys.stats mem)
     ~metrics:registry ~spans
     ~extra:(workload_extra r @ checkpoint_extra rt)
     (Systems.name_of kind)
@@ -262,15 +237,16 @@ let fig8_points ?(scale = small) ?(update_pcts = [ 10; 50; 90 ])
           kinds ))
     update_pcts
 
-let fig8 ?(scale = small) () =
+(* Throughput rows (system, Mops/s per thread count), shared by Figures 8
+   and 9. *)
+let mops_rows rows =
   List.map
-    (fun (update_pct, rows) ->
-      ( update_pct,
-        List.map
-          (fun (name, pts) ->
-            (name, List.map (fun pt -> Table.fmt_mops (point_mops pt)) pts))
-          rows ))
-    (fig8_points ~scale ())
+    (fun (name, pts) ->
+      (name, List.map (fun pt -> Table.fmt_mops (point_mops pt)) pts))
+    rows
+
+let fig8_rows groups =
+  List.map (fun (update_pct, rows) -> (update_pct, mops_rows rows)) groups
 
 (* ------------------------------------------------------------------ *)
 (* Figure 9: Queue throughput vs threads, 1:1 enqueue/dequeue. *)
@@ -283,11 +259,7 @@ let fig9_points ?(scale = small) ?(kinds = Systems.queue_kinds) ?threads () =
         List.map (fun threads -> queue_point_obs scale kind ~threads) sweep ))
     kinds
 
-let fig9 ?(scale = small) () =
-  List.map
-    (fun (name, pts) ->
-      (name, List.map (fun pt -> Table.fmt_mops (point_mops pt)) pts))
-    (fig9_points ~scale ())
+let fig9_rows = mops_rows
 
 (* ------------------------------------------------------------------ *)
 (* Integrity tax: ResPCT with checksum-sealed metadata
@@ -336,8 +308,6 @@ let integrity_overhead_rows pts =
           cells ))
     pts
 
-let integrity_overhead ?(scale = small) ?threads () =
-  integrity_overhead_rows (integrity_points ~scale ?threads ())
 
 (* ------------------------------------------------------------------ *)
 (* Figure 10: overhead decomposition at full thread count. Rows are the
@@ -371,8 +341,7 @@ let fig10_points ?(scale = small) () =
         List.map (fun (wname, w) -> (wname, run kind ~mode w)) workloads ))
     configs
 
-let fig10 ?(scale = small) () =
-  let rows = fig10_points ~scale () in
+let fig10_rows rows =
   (* The first config is the Transient<DRAM> baseline everything else is
      normalised to. *)
   let base =
@@ -422,8 +391,7 @@ let fig11_points ?(scale = small) () =
   in
   (base, sweep)
 
-let fig11 ?(scale = small) () =
-  let base, sweep = fig11_points ~scale () in
+let fig11_rows (base, sweep) =
   let base_mops = point_mops base in
   List.map
     (fun (period_ns, pt) ->
@@ -446,7 +414,7 @@ let fig12_points ?(scale = small) () =
       let s = { scale with buckets; map_prefill = buckets * 2 } in
       let threads = 8 in
       let p = params_for s ~threads ~kind:Systems.Respct in
-      let sched, env, _rt, build = Systems.map_system p Systems.Respct in
+      let mem, sched, _rt, build = Systems.map_system p Systems.Respct in
       let wl =
         {
           Workload.nthreads = threads;
@@ -466,7 +434,6 @@ let fig12_points ?(scale = small) () =
       Simsched.Scheduler.set_crash_at sched crash_at;
       (try ignore (Workload.run_map ~sched ~params:wl ~build ())
        with Failure _ -> ());
-      let mem = Simsched.Env.mem env in
       Simnvm.Memsys.crash mem;
       let layout =
         Respct.Layout.v
@@ -507,7 +474,7 @@ let point_extra_int pt key =
   | Some (Obs.Json.Int i) -> i
   | _ -> 0
 
-let fig12 ?(scale = small) () =
+let fig12_rows pts =
   List.map
     (fun pt ->
       ( pt.Obs.Run.label,
@@ -516,4 +483,4 @@ let fig12 ?(scale = small) () =
           string_of_int (point_extra_int pt "scanned");
           string_of_int (point_extra_int pt "rolled_back");
         ] ))
-    (fig12_points ~scale ())
+    pts

@@ -101,30 +101,6 @@ let capture ?addr_filter bus f =
   let v, events = Simsched.Trace.record bus f in
   (v, analyse ?addr_filter events)
 
-(* Attach the streaming vector-clock checker directly to a trace bus: races
-   are detected as the simulation produces events, with nothing recorded.
-   Returns the live checker and the subscription for detaching. *)
-let race_checker_on ?(addr_filter = fun (_ : int) -> true) bus =
-  let checker = Analysis.Racecheck.create () in
-  let sub =
-    Simsched.Trace.subscribe bus (fun ev ->
-        match ev with
-        | Simsched.Trace.Load { tid; addr } when addr_filter addr ->
-            Analysis.Racecheck.push checker
-              (Analysis.Racecheck.Rread { thread = tid; addr })
-        | Simsched.Trace.Store { tid; addr } when addr_filter addr ->
-            Analysis.Racecheck.push checker
-              (Analysis.Racecheck.Rwrite { thread = tid; addr })
-        | Simsched.Trace.Acquire { tid; lock } ->
-            Analysis.Racecheck.push checker
-              (Analysis.Racecheck.Racq { thread = tid; lock })
-        | Simsched.Trace.Release { tid; lock } ->
-            Analysis.Racecheck.push checker
-              (Analysis.Racecheck.Rrel { thread = tid; lock })
-        | _ -> ())
-  in
-  (checker, sub)
-
 (* ------------------------------------------------------------------ *)
 (* Static/dynamic cross-check for analysed IR programs.
 

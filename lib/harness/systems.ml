@@ -121,136 +121,134 @@ let rt_cfg (p : params) =
 (* Arena for the transient structures: the NVMM region (Transient<NVMM>)
    or the DRAM region (Transient<DRAM>). *)
 let transient_mem env ~kind =
-  let mcfg = Simnvm.Memsys.config (Simsched.Env.mem env) in
-  let lw = mcfg.Simnvm.Memsys.line_words in
-  let base, limit =
-    match kind with
-    | Transient_dram ->
-        ( mcfg.Simnvm.Memsys.nvm_words,
-          mcfg.Simnvm.Memsys.nvm_words + mcfg.Simnvm.Memsys.dram_words )
-    | _ -> (lw, mcfg.Simnvm.Memsys.nvm_words)
-  in
-  Pds.Mem_iface.of_env_bump env (Pds.Bump.create env ~base ~limit)
+  let b = Simsched.Env.backend env in
+  Pds.Mem_iface.of_env_bump env
+    (match kind with
+    | Transient_dram -> Pds.Bump.dram env
+    | _ ->
+        Pds.Bump.create env ~base:b.Simnvm.Backend.line_words
+          ~limit:b.Simnvm.Backend.nvm_words)
 
-(* Returns (sched, env, runtime option, build) — the runtime is exposed so
-   experiments can read checkpoint statistics afterwards. *)
-let map_system (p : params) kind =
-  let _mem, sched, env = world p ~kind in
+let respct_system rt =
+  {
+    Pds.Ops.sys_register = (fun ~slot -> Respct.Runtime.register rt ~slot);
+    sys_deregister = (fun ~slot -> Respct.Runtime.deregister rt ~slot);
+    sys_allow = (fun ~slot -> Respct.Runtime.checkpoint_allow rt ~slot);
+    sys_prevent =
+      (fun ~slot -> Respct.Runtime.checkpoint_prevent_nolock rt ~slot);
+    sys_stop = (fun () -> Respct.Runtime.stop rt);
+  }
+
+(* Returns (runtime option, build) over the world [env], whatever its
+   backend — the runtime is exposed so experiments can read checkpoint
+   statistics afterwards. *)
+let map_on env (p : params) kind =
   match kind with
   | Transient_dram | Transient_nvm ->
       let build () =
         let m = Pds.Hashmap_transient.create env (transient_mem env ~kind) ~buckets:p.buckets in
         (Pds.Hashmap_transient.ops m, Pds.Ops.null_system)
       in
-      (sched, env, None, build)
+      (None, build)
   | Respct ->
       let rt = Respct.Runtime.create ~cfg:(rt_cfg p) env in
       Respct.Runtime.start rt;
       let build () =
         let m = Pds.Hashmap_respct.create rt ~slot:0 ~buckets:p.buckets in
-        let sys =
-          {
-            Pds.Ops.sys_register = (fun ~slot -> Respct.Runtime.register rt ~slot);
-            sys_deregister = (fun ~slot -> Respct.Runtime.deregister rt ~slot);
-            sys_allow = (fun ~slot -> Respct.Runtime.checkpoint_allow rt ~slot);
-            sys_prevent =
-              (fun ~slot -> Respct.Runtime.checkpoint_prevent_nolock rt ~slot);
-            sys_stop = (fun () -> Respct.Runtime.stop rt);
-          }
-        in
-        (Pds.Hashmap_respct.ops m, sys)
+        (Pds.Hashmap_respct.ops m, respct_system rt)
       in
-      (sched, env, Some rt, build)
+      (Some rt, build)
   | Pmthreads ->
       let build () =
         Baselines.Pmthreads.make_map env ~max_threads:p.max_threads
           ~period_ns:p.period_ns ~flusher_pool:p.flusher_pool
           ~buckets:p.buckets
       in
-      (sched, env, None, build)
+      (None, build)
   | Montage ->
       let build () =
         Baselines.Montage.make_map env ~max_threads:p.max_threads
           ~period_ns:p.period_ns ~flusher_pool:p.flusher_pool
           ~buckets:p.buckets
       in
-      (sched, env, None, build)
+      (None, build)
   | Clobber ->
       let build () =
         Baselines.Durlin.make_map env ~policy:Baselines.Fatomic.Clobber
           ~max_threads:p.max_threads ~buckets:p.buckets
       in
-      (sched, env, None, build)
+      (None, build)
   | Quadra ->
       let build () =
         Baselines.Durlin.make_map env ~policy:Baselines.Fatomic.Quadra
           ~max_threads:p.max_threads ~buckets:p.buckets
       in
-      (sched, env, None, build)
+      (None, build)
   | Soft ->
       let build () = Baselines.Soft.make_map env ~buckets:p.buckets in
-      (sched, env, None, build)
+      (None, build)
   | Dali ->
       let build () =
         Baselines.Dali.make_map env ~max_threads:p.max_threads
           ~period_ns:p.period_ns ~flusher_pool:p.flusher_pool
           ~buckets:p.buckets
       in
-      (sched, env, None, build)
-  | Friedman -> invalid_arg "Systems.map_system: FriedmanQueue is a queue"
+      (None, build)
+  | Friedman -> invalid_arg "Systems.map_on: FriedmanQueue is a queue"
 
-let queue_system (p : params) kind =
-  let _mem, sched, env = world p ~kind in
+let queue_on env (p : params) kind =
   match kind with
   | Transient_dram | Transient_nvm ->
       let build () =
         let q = Pds.Queue_transient.create env (transient_mem env ~kind) in
         (Pds.Queue_transient.ops q, Pds.Ops.null_system)
       in
-      (sched, env, None, build)
+      (None, build)
   | Respct ->
       let rt = Respct.Runtime.create ~cfg:(rt_cfg p) env in
       Respct.Runtime.start rt;
       let build () =
         let q = Pds.Queue_respct.create rt ~slot:0 in
-        let sys =
-          {
-            Pds.Ops.sys_register = (fun ~slot -> Respct.Runtime.register rt ~slot);
-            sys_deregister = (fun ~slot -> Respct.Runtime.deregister rt ~slot);
-            sys_allow = (fun ~slot -> Respct.Runtime.checkpoint_allow rt ~slot);
-            sys_prevent =
-              (fun ~slot -> Respct.Runtime.checkpoint_prevent_nolock rt ~slot);
-            sys_stop = (fun () -> Respct.Runtime.stop rt);
-          }
-        in
-        (Pds.Queue_respct.ops q, sys)
+        (Pds.Queue_respct.ops q, respct_system rt)
       in
-      (sched, env, Some rt, build)
+      (Some rt, build)
   | Pmthreads ->
       let build () =
         Baselines.Pmthreads.make_queue env ~max_threads:p.max_threads
           ~period_ns:p.period_ns ~flusher_pool:p.flusher_pool
       in
-      (sched, env, None, build)
+      (None, build)
   | Montage ->
       let build () =
         Baselines.Montage.make_queue env ~max_threads:p.max_threads
           ~period_ns:p.period_ns ~flusher_pool:p.flusher_pool
       in
-      (sched, env, None, build)
+      (None, build)
   | Clobber ->
       let build () =
         Baselines.Durlin.make_queue env ~policy:Baselines.Fatomic.Clobber
           ~max_threads:p.max_threads
       in
-      (sched, env, None, build)
+      (None, build)
   | Quadra ->
       let build () =
         Baselines.Durlin.make_queue env ~policy:Baselines.Fatomic.Quadra
           ~max_threads:p.max_threads
       in
-      (sched, env, None, build)
+      (None, build)
   | Friedman ->
       let build () = Baselines.Friedman_queue.make_queue env in
-      (sched, env, None, build)
-  | Soft | Dali -> invalid_arg "Systems.queue_system: map-only system"
+      (None, build)
+  | Soft | Dali -> invalid_arg "Systems.queue_on: map-only system"
+
+(* A fresh simulated world per data point with the system built over it:
+   (mem, sched, runtime option, build). *)
+let map_system p kind =
+  let mem, sched, env = world p ~kind in
+  let rt, build = map_on env p kind in
+  (mem, sched, rt, build)
+
+let queue_system p kind =
+  let mem, sched, env = world p ~kind in
+  let rt, build = queue_on env p kind in
+  (mem, sched, rt, build)

@@ -19,6 +19,11 @@ let create env ~base ~limit =
     free_lists = Hashtbl.create 8;
   }
 
+let dram env =
+  let b = Simsched.Env.backend env in
+  let base = b.Simnvm.Backend.nvm_words in
+  create env ~base ~limit:(base + b.Simnvm.Backend.dram_words)
+
 let alloc t ~words =
   if words <= 0 then invalid_arg "Bump.alloc: words must be positive";
   Simsched.Scheduler.charge t.sched alloc_ns;

@@ -7,6 +7,9 @@ type t
 val create : Simsched.Env.t -> base:int -> limit:int -> t
 (** Allocator over the arena [base, limit). *)
 
+val dram : Simsched.Env.t -> t
+(** Allocator over the world's whole volatile DRAM region. *)
+
 val alloc : t -> words:int -> int
 (** Allocate (free list first, then bump).
     @raise Failure when the arena is exhausted.

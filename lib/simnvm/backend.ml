@@ -8,8 +8,8 @@
    functor explosion through Runtime/Recovery/Heap), and lets one world
    hold backends of different provenance side by side (the prockill
    parent recovers a file image while its oracles run over a simulated
-   one). The simulator keeps its direct, zero-allocation call path in
-   Simsched.Env; the record is consulted on the cold paths only. *)
+   one). It is the only way a world touches memory: Simsched.Env calls
+   these closures on every access, for the simulator as for a file. *)
 
 type t = {
   name : string;  (* "simnvm", "filemem:<path>", ... *)
@@ -41,9 +41,11 @@ let of_memsys m =
     line_words = cfg.Memsys.line_words;
     nvm_words = cfg.Memsys.nvm_words;
     dram_words = cfg.Memsys.dram_words;
-    load = Memsys.load m;
-    store = Memsys.store m;
-    pwb = Memsys.pwb m;
+    (* Eta-expanded, not partially applied: each hot access is one closure
+       call straight into a direct Memsys call. *)
+    load = (fun a -> Memsys.load m a);
+    store = (fun a v -> Memsys.store m a v);
+    pwb = (fun a -> Memsys.pwb m a);
     psync = (fun () -> Memsys.psync m);
     peek = Memsys.peek m;
     persisted = Memsys.persisted m;

@@ -43,6 +43,5 @@ type t = {
 }
 
 val of_memsys : Memsys.t -> t
-(** The simulator as a backend. Hot paths in [Simsched.Env] keep calling
-    {!Memsys} directly; this record serves the cold paths (bootstrap,
-    recovery, oracle reads). *)
+(** The simulator as a backend. [Simsched.Env.make] runs every simulated
+    world through this record; the hot closures call {!Memsys} directly. *)

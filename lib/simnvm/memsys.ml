@@ -197,13 +197,7 @@ type t = {
      path instead of through the event pipeline, so a memory system with
      no external subscriber never constructs an event. *)
   mutable stats_on : bool;
-  (* External subscribers, stored as parallel id/function arrays with an
-     explicit count so subscribe/unsubscribe churn is allocation-free in
-     the steady state. *)
-  mutable sub_ids : int array;
-  mutable sub_fns : (Event.t -> unit) array;
-  mutable n_subs : int;
-  mutable next_sub : int;
+  subs : Event.t Sink.t; (* external subscribers; ids start at 1 *)
   mutable charge : float -> unit;
   mutable current_tid : unit -> int;
   (* Precomputed geometry. [lw_shift]/[lw_mask] and [sets_mask] are -1
@@ -232,7 +226,6 @@ type t = {
 
 let no_charge (_ : float) = ()
 let no_tid () = -1
-let no_sub (_ : Event.t) = ()
 
 (* Bitset primitives over [Bytes]; indices are validated by the callers
    (every producer bounds-checks the line number first). *)
@@ -253,64 +246,17 @@ let bit_clear b i =
    never allocates. Subscribers run in attach order, which keeps event
    delivery (and therefore anything derived from it) deterministic. *)
 
-let[@inline] has_subs t = t.n_subs > 0
-
-let emit t ev =
-  let fns = t.sub_fns in
-  for i = 0 to t.n_subs - 1 do
-    (Array.unsafe_get fns i) ev
-  done
-
-let subscribe t f =
-  let id = t.next_sub in
-  t.next_sub <- id + 1;
-  let n = t.n_subs in
-  if n = Array.length t.sub_ids then begin
-    let cap = max 4 (2 * n) in
-    let ids = Array.make cap (-1) and fns = Array.make cap no_sub in
-    Array.blit t.sub_ids 0 ids 0 n;
-    Array.blit t.sub_fns 0 fns 0 n;
-    t.sub_ids <- ids;
-    t.sub_fns <- fns
-  end;
-  t.sub_ids.(n) <- id;
-  t.sub_fns.(n) <- f;
-  t.n_subs <- n + 1;
-  id
-
-(* In-place left shift over the parallel arrays: no list round-trip, no
-   allocation. The vacated slot gets a no-op function so the subscriber
-   can be collected (and so an emit that captured the array mid-removal
-   calls a harmless stub rather than a stale closure). *)
+let[@inline] has_subs t = Sink.active t.subs
+let emit t ev = Sink.emit t.subs ev
+let subscribe t f = Sink.subscribe t.subs f
 let unsubscribe t id =
-  if id = 0 then t.stats_on <- false
-  else begin
-    let n = t.n_subs in
-    let found = ref (-1) in
-    for i = 0 to n - 1 do
-      if !found < 0 && t.sub_ids.(i) = id then found := i
-    done;
-    match !found with
-    | -1 -> ()
-    | at ->
-        for i = at to n - 2 do
-          t.sub_ids.(i) <- t.sub_ids.(i + 1);
-          t.sub_fns.(i) <- t.sub_fns.(i + 1)
-        done;
-        t.sub_ids.(n - 1) <- -1;
-        t.sub_fns.(n - 1) <- no_sub;
-        t.n_subs <- n - 1
-  end
+  if id = 0 then t.stats_on <- false else Sink.unsubscribe t.subs id
 
 let clear_subscribers t =
   t.stats_on <- false;
-  for i = 0 to t.n_subs - 1 do
-    t.sub_ids.(i) <- -1;
-    t.sub_fns.(i) <- no_sub
-  done;
-  t.n_subs <- 0
+  Sink.clear t.subs
 
-let subscriber_count t = (if t.stats_on then 1 else 0) + t.n_subs
+let subscriber_count t = (if t.stats_on then 1 else 0) + Sink.count t.subs
 
 (* MESI-style coherence approximation: reading a line last written by a
    different core pays a cache-to-cache transfer and demotes the line to
@@ -360,10 +306,7 @@ let create cfg =
     rng = Rng.create cfg.seed;
     stats = Stats.create ();
     stats_on = true;
-    sub_ids = [||];
-    sub_fns = [||];
-    n_subs = 0;
-    next_sub = 1 (* 0 is the built-in stats counter *);
+    subs = Sink.create ~first_id:1 (* 0 is the built-in stats counter *);
     charge = no_charge;
     current_tid = no_tid;
     lw;

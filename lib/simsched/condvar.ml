@@ -5,24 +5,7 @@ let wait_ns = 25.0
 
 type t = { name : string; waiters : int Queue.t }
 
-let all : t list ref = ref []
-
-let create ?(name = "condvar") () =
-  let cv = { name; waiters = Queue.create () } in
-  all := cv :: !all;
-  cv
-
-(* Debug helper: every condition variable with parked waiters. *)
-let dump_waiting () =
-  List.filter_map
-    (fun cv ->
-      if Queue.is_empty cv.waiters then None
-      else
-        Some
-          (Printf.sprintf "%s: [%s]" cv.name
-             (String.concat ";"
-                (List.map string_of_int (List.of_seq (Queue.to_seq cv.waiters))))))
-    !all
+let create ?(name = "condvar") () = { name; waiters = Queue.create () }
 
 let wait sched cv m =
   Scheduler.charge sched wait_ns;

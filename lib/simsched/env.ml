@@ -5,24 +5,20 @@
    installed by [make]) and every access is a preemption point, so the
    scheduler can interleave threads as real hardware would.
 
-   The memory side is a backend behind the Simnvm.Backend seam. The
-   simulator remains a special case with a direct, closure-free call path
-   (one constructor match per access, nothing else changed); any other
-   backend — the mmap'd-file Filemem, chiefly — goes through its record of
-   closures. Sim-only call sites keep using [mem]; backend-generic code
-   uses [backend].
+   The memory side is always a Simnvm.Backend record: the simulator
+   (Backend.of_memsys) and the mmap'd-file Filemem go through the same
+   closures, so every baseline, app and harness runs over either. An access
+   costs one closure call into a direct Memsys call, which measures within
+   noise of calling Memsys directly.
 
    Every wrapper — including the atomic RMWs and pure-compute charges —
    publishes on the world's trace bus (Scheduler.trace_bus), so analyses
    that consume traces (race checker, RP advisor) see the complete access
    stream. Emission is guarded on [Trace.active]: an untraced world pays
-   one array-length test per access. *)
-
-type backing = Sim of Simnvm.Memsys.t | Ext of Simnvm.Backend.t
+   one count test per access. *)
 
 type t = {
-  be : backing;
-  ops : Simnvm.Backend.t; (* cold-path view of [be]; for Sim, of_memsys *)
+  be : Simnvm.Backend.t;
   lw : int; (* cached line_words: the hot paths and RMW tokens need it *)
   sched : Scheduler.t;
   bus : Trace.bus;
@@ -32,39 +28,25 @@ type t = {
          pure time charge cannot express *)
 }
 
-let init be (ops : Simnvm.Backend.t) sched =
-  ops.Simnvm.Backend.set_charge (fun ns -> Scheduler.charge sched ns);
-  ops.Simnvm.Backend.set_tid_provider (fun () ->
+let make_backend be sched =
+  be.Simnvm.Backend.set_charge (fun ns -> Scheduler.charge sched ns);
+  be.Simnvm.Backend.set_tid_provider (fun () ->
       Scheduler.current_tid_opt sched);
   {
     be;
-    ops;
-    lw = ops.Simnvm.Backend.line_words;
+    lw = be.Simnvm.Backend.line_words;
     sched;
     bus = Scheduler.trace_bus sched;
     rmw_tokens = Hashtbl.create 64;
   }
 
-let make mem sched = init (Sim mem) (Simnvm.Backend.of_memsys mem) sched
-let make_backend ops sched = init (Ext ops) ops sched
-
-let mem t =
-  match t.be with
-  | Sim m -> m
-  | Ext b ->
-      invalid_arg
-        ("Env.mem: world runs over external backend " ^ b.Simnvm.Backend.name)
-
-let backend t = t.ops
+let make mem sched = make_backend (Simnvm.Backend.of_memsys mem) sched
+let backend t = t.be
 let sched t = t.sched
 let bus t = t.bus
 
 let load t addr =
-  let v =
-    match t.be with
-    | Sim m -> Simnvm.Memsys.load m addr
-    | Ext b -> b.Simnvm.Backend.load addr
-  in
+  let v = t.be.Simnvm.Backend.load addr in
   if Trace.active t.bus then
     Trace.emit t.bus
       (Trace.Load { tid = Scheduler.current_tid_opt t.sched; addr });
@@ -72,27 +54,21 @@ let load t addr =
   v
 
 let store t addr v =
-  (match t.be with
-  | Sim m -> Simnvm.Memsys.store m addr v
-  | Ext b -> b.Simnvm.Backend.store addr v);
+  t.be.Simnvm.Backend.store addr v;
   if Trace.active t.bus then
     Trace.emit t.bus
       (Trace.Store { tid = Scheduler.current_tid_opt t.sched; addr });
   Scheduler.poll t.sched
 
 let pwb t addr =
-  (match t.be with
-  | Sim m -> Simnvm.Memsys.pwb m addr
-  | Ext b -> b.Simnvm.Backend.pwb addr);
+  t.be.Simnvm.Backend.pwb addr;
   if Trace.active t.bus then
     Trace.emit t.bus
       (Trace.Pwb { tid = Scheduler.current_tid_opt t.sched; addr });
   Scheduler.poll t.sched
 
 let psync t =
-  (match t.be with
-  | Sim m -> Simnvm.Memsys.psync m
-  | Ext b -> b.Simnvm.Backend.psync ());
+  t.be.Simnvm.Backend.psync ();
   if Trace.active t.bus then
     Trace.emit t.bus (Trace.Psync { tid = Scheduler.current_tid_opt t.sched });
   Scheduler.poll t.sched
@@ -133,25 +109,15 @@ let emit_rmw t ~addr ~wrote =
     Trace.emit t.bus (Trace.Rmw { tid; addr })
   end
 
-let raw_load t addr =
-  match t.be with
-  | Sim m -> Simnvm.Memsys.load m addr
-  | Ext b -> b.Simnvm.Backend.load addr
-
-let raw_store t addr v =
-  match t.be with
-  | Sim m -> Simnvm.Memsys.store m addr v
-  | Ext b -> b.Simnvm.Backend.store addr v
-
 (* Atomic compare-and-swap: no preemption point separates the read from the
    write, so it is atomic in the simulation exactly as the hardware
    instruction is. Charged as a store plus an RMW penalty; algorithms whose
    RMWs contend on one line must additionally wrap their dependent
    sequences in [serialize_rmw]. *)
 let cas t addr ~expected ~desired =
-  let v = raw_load t addr in
+  let v = t.be.Simnvm.Backend.load addr in
   let ok = v = expected in
-  if ok then raw_store t addr desired;
+  if ok then t.be.Simnvm.Backend.store addr desired;
   emit_rmw t ~addr ~wrote:ok;
   Scheduler.charge t.sched 8.0;
   Scheduler.poll t.sched;
@@ -159,8 +125,8 @@ let cas t addr ~expected ~desired =
 
 (* Atomic fetch-and-add, same atomicity argument as [cas]. *)
 let faa t addr delta =
-  let v = raw_load t addr in
-  raw_store t addr (v + delta);
+  let v = t.be.Simnvm.Backend.load addr in
+  t.be.Simnvm.Backend.store addr (v + delta);
   emit_rmw t ~addr ~wrote:true;
   Scheduler.charge t.sched 8.0;
   Scheduler.poll t.sched;

@@ -2,26 +2,22 @@
 
     Simulated programs access memory exclusively through these wrappers:
     latencies are charged to the running thread's virtual clock and every
-    access is a preemption point. The backend is usually the simulator
-    ({!make}, which keeps a direct call path); {!make_backend} runs the
-    same programs over any {!Simnvm.Backend.t} (e.g. a memory-mapped
-    file). *)
+    access is a preemption point. Every world runs over a
+    {!Simnvm.Backend.t}: {!make} wraps the simulator, {!make_backend} takes
+    any backend (e.g. a memory-mapped file), and both share one access
+    path. *)
 
 type t
 
 val make : Simnvm.Memsys.t -> Scheduler.t -> t
-(** Couple a memory system with a scheduler (installs the charge hook). *)
+(** [make_backend (Simnvm.Backend.of_memsys mem)]. *)
 
 val make_backend : Simnvm.Backend.t -> Scheduler.t -> t
 (** Couple an arbitrary backend with a scheduler (installs the charge
     hook and thread-id provider through the backend record). *)
 
-val mem : t -> Simnvm.Memsys.t
-(** The simulator underneath, when there is one.
-    @raise Invalid_argument if the world runs over an external backend. *)
-
 val backend : t -> Simnvm.Backend.t
-(** The backend ops record — always available. For {!make} worlds this is
+(** The backend ops record. For {!make} worlds this is
     [Simnvm.Backend.of_memsys] of the simulator. *)
 
 val sched : t -> Scheduler.t

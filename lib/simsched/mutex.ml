@@ -36,35 +36,18 @@ type t = {
   mutable last_release : float;
 }
 
-let all : t list ref = ref []
 let next_id = ref 0
 
 let create ?(name = "mutex") () =
   incr next_id;
-  let m =
-    {
-      name;
-      id = !next_id;
-      owner = None;
-      last_owner = -1;
-      waiters = Queue.create ();
-      last_release = 0.0;
-    }
-  in
-  all := m :: !all;
-  m
-
-(* Debug helper: every mutex that is currently held or contended. *)
-let dump_held () =
-  List.filter_map
-    (fun m ->
-      match m.owner with
-      | Some tid ->
-          Some
-            (Printf.sprintf "%s held by #%d (%d waiting)" m.name tid
-               (Queue.length m.waiters))
-      | None -> None)
-    !all
+  {
+    name;
+    id = !next_id;
+    owner = None;
+    last_owner = -1;
+    waiters = Queue.create ();
+    last_release = 0.0;
+  }
 
 let lock sched m =
   Scheduler.charge sched lock_ns;

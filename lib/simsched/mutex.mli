@@ -20,9 +20,6 @@ val try_lock : Scheduler.t -> t -> bool
 val holder : t -> int option
 (** Owner tid, if any (test hook). *)
 
-val dump_held : unit -> string list
-(** Debug helper: description of every currently held or contended mutex. *)
-
 val with_lock : Scheduler.t -> t -> (unit -> 'a) -> 'a
 (** Run a critical section. The lock is not released when the section is
     interrupted by a simulated crash — the machine died holding it. *)

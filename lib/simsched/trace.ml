@@ -9,7 +9,7 @@
    nothing is process-global, so traced worlds compose and parallel worlds
    cannot observe each other.
 
-   The disabled fast path is one array-length test: producers guard with
+   The disabled fast path is one count test: producers guard with
    [active] before even constructing an event. *)
 
 type event =
@@ -25,59 +25,15 @@ type event =
 
 type subscription = int
 
-(* Parallel id/function arrays with an explicit count: subscribe grows by
-   doubling, unsubscribe shifts in place — steady-state attach/detach churn
+(* The subscriber list is the shared Simnvm.Sink: attach/detach churn
    (Trace.record around every analysis window) allocates nothing. *)
-type bus = {
-  mutable sink_ids : int array;
-  mutable sink_fns : (event -> unit) array;
-  mutable n_sinks : int;
-  mutable next_sub : int;
-}
+type bus = event Simnvm.Sink.t
 
-let no_sink (_ : event) = ()
-let create_bus () = { sink_ids = [||]; sink_fns = [||]; n_sinks = 0; next_sub = 0 }
-let[@inline] active b = b.n_sinks > 0
-
-let emit b ev =
-  let fns = b.sink_fns in
-  for i = 0 to b.n_sinks - 1 do
-    (Array.unsafe_get fns i) ev
-  done
-
-let subscribe b f =
-  let id = b.next_sub in
-  b.next_sub <- id + 1;
-  let n = b.n_sinks in
-  if n = Array.length b.sink_ids then begin
-    let cap = max 4 (2 * n) in
-    let ids = Array.make cap (-1) and fns = Array.make cap no_sink in
-    Array.blit b.sink_ids 0 ids 0 n;
-    Array.blit b.sink_fns 0 fns 0 n;
-    b.sink_ids <- ids;
-    b.sink_fns <- fns
-  end;
-  b.sink_ids.(n) <- id;
-  b.sink_fns.(n) <- f;
-  b.n_sinks <- n + 1;
-  id
-
-let unsubscribe b id =
-  let n = b.n_sinks in
-  let found = ref (-1) in
-  for i = 0 to n - 1 do
-    if !found < 0 && b.sink_ids.(i) = id then found := i
-  done;
-  match !found with
-  | -1 -> ()
-  | at ->
-      for i = at to n - 2 do
-        b.sink_ids.(i) <- b.sink_ids.(i + 1);
-        b.sink_fns.(i) <- b.sink_fns.(i + 1)
-      done;
-      b.sink_ids.(n - 1) <- -1;
-      b.sink_fns.(n - 1) <- no_sink;
-      b.n_sinks <- n - 1
+let create_bus () = Simnvm.Sink.create ~first_id:0
+let[@inline] active b = Simnvm.Sink.active b
+let emit = Simnvm.Sink.emit
+let subscribe = Simnvm.Sink.subscribe
+let unsubscribe = Simnvm.Sink.unsubscribe
 
 (* ------------------------------------------------------------------ *)
 (* Recorder: the accumulate-then-analyse subscriber used by the offline

@@ -27,7 +27,7 @@ val create_bus : unit -> bus
 
 val active : bus -> bool
 (** Whether any subscriber is attached. Producers guard event construction
-    on this, making the disabled path one array-length test. *)
+    on this, making the disabled path one count test. *)
 
 val emit : bus -> event -> unit
 (** Deliver to every subscriber, in attach order. *)

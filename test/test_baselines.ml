@@ -1,6 +1,7 @@
 (* Tests for the baseline persistence systems: functional correctness of
    every map and queue against model oracles (driven through the harness
-   builders so the full construction path is covered), plus unit tests of
+   builders so the full construction path is covered), over the simulator
+   and over a memory-mapped file (Filemem), plus unit tests of
    the failure-atomic section machinery and the epoch gate. *)
 
 open Simnvm
@@ -20,9 +21,7 @@ let small_params threads =
 
 (* Drive a map build through random ops on one simulated thread, checking
    against a Hashtbl model. *)
-let check_map kind =
-  let p = small_params 1 in
-  let sched, _env, _rt, build = Harness.Systems.map_system p kind in
+let check_map ?(n_ops = 2000) kind (sched, build) =
   let failures = ref [] in
   ignore
     (Scheduler.spawn sched (fun () ->
@@ -30,7 +29,7 @@ let check_map kind =
          sys.Pds.Ops.sys_register ~slot:0;
          let model = Hashtbl.create 64 in
          let rng = Rng.create 3 in
-         for i = 1 to 2000 do
+         for i = 1 to n_ops do
            (match Gen_common.uniform_map_op rng ~key_range:150 ~value:i with
             | Gen_common.Insert (key, value) ->
                 let fresh = ops.Pds.Ops.insert ~slot:0 ~key ~value in
@@ -58,9 +57,7 @@ let check_map kind =
     0
     (List.length !failures)
 
-let check_queue kind =
-  let p = small_params 1 in
-  let sched, _env, _rt, build = Harness.Systems.queue_system p kind in
+let check_queue ?(n_ops = 2000) kind (sched, build) =
   let failures = ref 0 in
   ignore
     (Scheduler.spawn sched (fun () ->
@@ -68,7 +65,7 @@ let check_queue kind =
          sys.Pds.Ops.sys_register ~slot:0;
          let model = Queue.create () in
          let rng = Rng.create 8 in
-         for i = 1 to 2000 do
+         for i = 1 to n_ops do
            (match Gen_common.uniform_queue_op rng ~value:i with
             | Gen_common.Enqueue v ->
                 ops.Pds.Ops.enqueue ~slot:0 v;
@@ -89,19 +86,68 @@ let check_queue kind =
     (Harness.Systems.name_of kind ^ " FIFO mismatches")
     0 !failures
 
+(* Over the simulator, through the harness builders so the full
+   construction path is covered. *)
+let sim_world system kind =
+  let _mem, sched, _rt, build = system (small_params 1) kind in
+  (sched, build)
+
+(* The same builders over a memory-mapped file: the baselines reach memory
+   only through the Backend seam, so they run over Filemem unchanged. *)
+let with_file_world on kind f =
+  let p = small_params 1 in
+  let path = Filename.temp_file "respct-baselines" ".img" in
+  let fm =
+    Filemem.create
+      {
+        Filemem.default_config with
+        Filemem.nvm_words = p.Harness.Systems.nvm_words;
+        dram_words = p.Harness.Systems.dram_words;
+      }
+      ~path
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Filemem.close fm;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let sched =
+        Scheduler.create ~seed:p.Harness.Systems.seed
+          ~quantum:p.Harness.Systems.quantum ()
+      in
+      let env = Env.make_backend (Filemem.backend fm) sched in
+      let _rt, build = on env p kind in
+      f (sched, build))
+
 let map_tests =
   List.map
     (fun kind ->
       Alcotest.test_case (Harness.Systems.name_of kind) `Quick (fun () ->
-          check_map kind))
+          check_map kind (sim_world Harness.Systems.map_system kind)))
     Harness.Systems.map_kinds
 
 let queue_tests =
   List.map
     (fun kind ->
       Alcotest.test_case (Harness.Systems.name_of kind) `Quick (fun () ->
-          check_queue kind))
+          check_queue kind (sim_world Harness.Systems.queue_system kind)))
     Harness.Systems.queue_kinds
+
+let file_map_tests =
+  List.map
+    (fun kind ->
+      Alcotest.test_case (Harness.Systems.name_of kind) `Quick (fun () ->
+          with_file_world Harness.Systems.map_on kind
+            (check_map ~n_ops:400 kind)))
+    Harness.Systems.[ Pmthreads; Montage; Clobber; Quadra; Soft; Dali ]
+
+let file_queue_tests =
+  List.map
+    (fun kind ->
+      Alcotest.test_case (Harness.Systems.name_of kind) `Quick (fun () ->
+          with_file_world Harness.Systems.queue_on kind
+            (check_queue ~n_ops:400 kind)))
+    Harness.Systems.[ Pmthreads; Montage; Clobber; Quadra; Friedman ]
 
 (* ------------------------------------------------------------------ *)
 (* Fatomic unit tests *)
@@ -223,6 +269,8 @@ let () =
     [
       ("maps vs model", map_tests);
       ("queues vs model", queue_tests);
+      ("maps over filemem", file_map_tests);
+      ("queues over filemem", file_queue_tests);
       ( "fatomic",
         [
           Alcotest.test_case "Clobber logs only WAR vars" `Quick

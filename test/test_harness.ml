@@ -90,7 +90,7 @@ let test_eadr_ablation () =
    recovery mismatch (DESIGN.md ablation 1). Covered at cell granularity in
    test_respct; here we only ensure the flag plumbs through the harness. *)
 let test_fig10_shape () =
-  let rows = Harness.Experiments.fig10 ~scale:tiny () in
+  let rows = Harness.Experiments.(fig10_rows (fig10_points ~scale:tiny ())) in
   Alcotest.(check int) "five configurations" 5 (List.length rows);
   List.iter
     (fun (_name, cells) -> Alcotest.(check int) "three workloads" 3 (List.length cells))
@@ -100,7 +100,7 @@ let test_fig10_shape () =
   List.iter (fun c -> Alcotest.(check string) "unit base" "1.00" c) base
 
 let test_fig12_rows () =
-  let rows = Harness.Experiments.fig12 ~scale:tiny () in
+  let rows = Harness.Experiments.(fig12_rows (fig12_points ~scale:tiny ())) in
   List.iter
     (fun (label, cells) ->
       Alcotest.(check bool) (label ^ " recovery time parses") true
@@ -336,7 +336,7 @@ let test_fig9_golden () =
     ~header:
       ("threads:"
       :: List.map string_of_int scale.Harness.Experiments.sweep_threads)
-    (Harness.Experiments.fig9 ~scale ());
+    (Harness.Experiments.(fig9_rows (fig9_points ~scale ())));
   Alcotest.(check string) "fig9 byte-identical" fig9_golden (Buffer.contents buf)
 
 (* The crash-matrix smoke run: same capture, same guarantee. The verdict

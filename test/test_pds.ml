@@ -41,8 +41,8 @@ let in_thread sched body =
 (* Transient structures vs model *)
 
 let transient_map env =
-  let mcfg = Memsys.config (Env.mem env) in
-  let bump = Pds.Bump.create env ~base:8 ~limit:mcfg.Memsys.nvm_words in
+  let nvm_words = (Env.backend env).Backend.nvm_words in
+  let bump = Pds.Bump.create env ~base:8 ~limit:nvm_words in
   Pds.Hashmap_transient.create env (Pds.Mem_iface.of_env_bump env bump) ~buckets:64
 
 let test_transient_map_model () =
@@ -73,8 +73,8 @@ let test_transient_map_model () =
 let test_transient_queue_fifo () =
   let _mem, sched, env = world () in
   in_thread sched (fun () ->
-      let mcfg = Memsys.config (Env.mem env) in
-      let bump = Pds.Bump.create env ~base:8 ~limit:mcfg.Memsys.nvm_words in
+      let nvm_words = (Env.backend env).Backend.nvm_words in
+      let bump = Pds.Bump.create env ~base:8 ~limit:nvm_words in
       let q =
         Pds.Queue_transient.create env (Pds.Mem_iface.of_env_bump env bump)
       in
