@@ -150,7 +150,10 @@ let figures_cmd =
       value
       & pos_all (enum choices) []
       & info [] ~docv:"FIGURE"
-          ~doc:"fig8..fig14, tab2, tab3 or all (the default).")
+          ~doc:
+            "fig8..fig14, tab2, tab3, integrity (the checksum tax), pause \
+             (the classic vs pipelined checkpoint stall) or all (the \
+             default).")
   in
   let json =
     Arg.(
@@ -158,9 +161,9 @@ let figures_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Also write the structured results of Figures 8-12 (per-point \
-             throughput, memory-event counters, metric registry, span \
-             breakdown) to $(docv).")
+            "Also write the structured results of Figures 8-12 and the \
+             integrity sweep (per-point throughput, memory-event counters, \
+             metric registry, span breakdown) to $(docv).")
   in
   let run scale names json =
     let selected =
@@ -181,7 +184,7 @@ let figures_cmd =
        EXPERIMENTS.md)\n"
       scale.Experiments.label;
     let experiments =
-      List.filter_map
+      List.concat_map
         (fun (name, figure) ->
           let t0 = Unix.gettimeofday () in
           let out = figure scale in
@@ -207,181 +210,10 @@ let figures_cmd =
   Cmd.v
     (Cmd.info "figures"
        ~doc:
-         "Regenerate the paper's figures and tables: one table per figure, \
-          and with --json one results document.")
+         "Regenerate the paper's figures and tables, the integrity tax \
+          and the checkpoint-pause probe: one table per figure, and with \
+          --json one results document.")
     Term.(const run $ scale_arg $ names $ json)
-
-let integrity_cmd =
-  let threads_opt =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "threads" ]
-          ~doc:"Restrict the sweep to one worker thread count.")
-  in
-  let run scale threads json =
-    let threads = Option.map (fun t -> [ t ]) threads in
-    let pts = Experiments.integrity_points ~scale ?threads () in
-    let sweep =
-      Option.value ~default:scale.Experiments.sweep_threads threads
-    in
-    Table.print ~title:"Integrity tax (ResPCT sealed/raw Mops, delta)"
-      ~header:("threads:" :: List.map string_of_int sweep)
-      (Experiments.integrity_overhead_rows pts);
-    match json with
-    | None -> ()
-    | Some path ->
-        let sel f =
-          List.concat_map (fun (_, cells) -> List.map f cells) pts
-        in
-        (try
-           Obs.Json.to_file path
-             (Obs.Run.document
-                [
-                  Obs.Run.experiment "integrity-off"
-                    (sel (fun (_, off, _) -> off));
-                  Obs.Run.experiment "integrity-on"
-                    (sel (fun (_, _, on) -> on));
-                ])
-         with Sys_error msg ->
-           Printf.eprintf "cannot write --json sink: %s\n" msg;
-           exit 2);
-        Printf.printf "[structured results written to %s]\n" path
-  in
-  Cmd.v
-    (Cmd.info "integrity"
-       ~doc:
-         "Checksum-overhead sweep: ResPCT with sealed metadata \
-          (config.integrity) against the raw representation, Queue and \
-          HashMap workloads.")
-    Term.(const run $ scale_arg $ threads_opt $ json_arg)
-
-let perf_cmd =
-  let preset_arg =
-    Arg.(
-      value
-      & opt (enum [ ("default", Perf.Suite.default_preset);
-                    ("smoke", Perf.Suite.smoke_preset) ])
-          Perf.Suite.default_preset
-      & info [ "preset" ]
-          ~doc:
-            "Benchmark preset: default (the fig8/fig9 sweeps at the \
-             figures' scale) or smoke (shrunk worlds for CI).")
-  in
-  let runs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "runs" ] ~doc:"Measured repetitions (preset default if unset).")
-  in
-  let warmup_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "warmup" ] ~doc:"Discarded warmup runs (preset default if unset).")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~doc:"Seed for the bootstrap confidence intervals.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_PR9.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Benchmark document destination.")
-  in
-  let compare_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "compare" ] ~docv:"BASELINE"
-          ~doc:
-            "Compare against a committed baseline document and exit \
-             nonzero on regression beyond the noise tolerances.")
-  in
-  let wall_tol_arg =
-    Arg.(
-      value
-      & opt Arg.float Perf.Compare.default_wall_tolerance
-      & info [ "wall-tolerance" ]
-          ~doc:
-            "Allowed fractional drop in calibration-normalised wall \
-             throughput before --compare fails.")
-  in
-  let sim_tol_arg =
-    Arg.(
-      value
-      & opt Arg.float Perf.Compare.default_sim_tolerance
-      & info [ "sim-tolerance" ]
-          ~doc:
-            "Allowed fractional drop in simulated throughput before \
-             --compare fails (deterministic, so keep tight).")
-  in
-  let only_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "only" ] ~docv:"BENCH" ~doc:"Run a single benchmark by name.")
-  in
-  let run preset runs warmup seed out compare wall_tol sim_tol only =
-    let ms = Perf.Suite.run ?runs ?warmup ~seed ?only preset in
-    if ms = [] then begin
-      Printf.eprintf "no benchmark selected (check --only)\n";
-      exit 2
-    end;
-    let calibration = Perf.Bench.calibrate () in
-    Printf.printf "calibration: %.1f Mips\n" calibration;
-    List.iter
-      (fun (m : Perf.Bench.measurement) ->
-        let w = m.Perf.Bench.wall_kops and s = m.Perf.Bench.sim_mops in
-        Printf.printf
-          "%-12s wall %8.1f kops/s (mad %.1f, ci95 [%.1f, %.1f])  sim %6.3f \
-           Mops/s\n"
-          m.Perf.Bench.name w.Perf.Stat.s_median w.Perf.Stat.s_mad
-          w.Perf.Stat.s_ci_lo w.Perf.Stat.s_ci_hi s.Perf.Stat.s_median)
-      ms;
-    (* The pause probe only makes sense for full-suite runs; --only is for
-       iterating on one benchmark. *)
-    if only = None then
-      List.iter
-        (fun (p : Perf.Suite.pause) ->
-          Printf.printf
-            "checkpoint-pause %-8s stall %8.1f us/ckpt  overlap %8.1f \
-             us/ckpt  (%d checkpoints)\n"
-            p.Perf.Suite.pause_mode p.Perf.Suite.pause_stall_us
-            p.Perf.Suite.pause_overlap_us p.Perf.Suite.pause_checkpoints)
-        (Perf.Suite.checkpoint_pause preset);
-    let doc = Perf.Suite.document ~calibration preset ms in
-    (try Obs.Json.to_file out doc
-     with Sys_error msg ->
-       Printf.eprintf "cannot write %s: %s\n" out msg;
-       exit 2);
-    Printf.printf "[benchmark document written to %s]\n" out;
-    match compare with
-    | None -> ()
-    | Some path -> (
-        match Obs.Json.of_file path with
-        | Error msg ->
-            Printf.eprintf "cannot load baseline %s: %s\n" path msg;
-            exit 2
-        | Ok baseline ->
-            let report =
-              Perf.Compare.compare ~wall_tolerance:wall_tol
-                ~sim_tolerance:sim_tol ~baseline ~current:doc ()
-            in
-            Perf.Compare.print_report Format.std_formatter report;
-            if not (Perf.Compare.ok report) then exit 1)
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:
-         "Statistical benchmark harness: warmup + repetition over the \
-          fig8/fig9 sweeps, median/MAD/bootstrap-CI summaries, \
-          deterministic JSON export, optional regression gate.")
-    Term.(
-      const run $ preset_arg $ runs_arg $ warmup_arg $ seed_arg $ out_arg
-      $ compare_arg $ wall_tol_arg $ sim_tol_arg $ only_arg)
 
 let crashmatrix_cmd =
   let deep_arg =
@@ -1509,8 +1341,6 @@ let () =
             queue_cmd;
             recover_cmd;
             figures_cmd;
-            integrity_cmd;
-            perf_cmd;
             crashmatrix_cmd;
             analyze_cmd;
             litmus_cmd;

@@ -268,8 +268,7 @@ let fig9_rows = mops_rows
    InCLL-update and checkpoint-commit hot paths, so the interesting number
    is the relative throughput delta per workload, not the absolute one. *)
 
-let integrity_points ?(scale = small) ?threads () =
-  let sweep = Option.value ~default:scale.sweep_threads threads in
+let integrity_points ?(scale = small) () =
   let kind = Systems.Respct in
   let run ~integrity w ~threads =
     (* The integrity layout additionally reserves one regsum word per
@@ -292,7 +291,7 @@ let integrity_points ?(scale = small) ?threads () =
             ( threads,
               run ~integrity:false w ~threads,
               run ~integrity:true w ~threads ))
-          sweep ))
+          scale.sweep_threads ))
     [ ("Queue", `Queue); ("HashMap", `Map 50) ]
 
 let integrity_overhead_rows pts =
@@ -308,6 +307,41 @@ let integrity_overhead_rows pts =
           cells ))
     pts
 
+(* ------------------------------------------------------------------ *)
+(* Checkpoint pause: the metric the pipelined runtime is built to move.
+   One classic and one pipelined ResPCT HashMap run (50% updates) at the
+   sweep's largest thread count. The stall is the mutator pause per
+   checkpoint (the whole flush in classic mode, only quiescence and
+   handoff in pipeline mode); the overlap is the background-flush window
+   that replaced the rest of it. *)
+
+let pause_threads scale = List.fold_left max 1 scale.sweep_threads
+
+let pause_points ?(scale = small) () =
+  let kind = Systems.Respct and threads = pause_threads scale in
+  List.filter_map
+    (fun pipeline ->
+      let p = { (params_for scale ~threads ~kind) with Systems.pipeline } in
+      let _, rt = map_point ~update_pct:50 ~params:p scale kind ~threads in
+      let mode = if pipeline then "pipeline" else "classic" in
+      Option.map (fun rt -> (mode, Respct.Runtime.stats rt)) rt)
+    [ false; true ]
+
+let pause_rows pts =
+  List.filter_map
+    (fun (mode, (s : Respct.Runtime.stats)) ->
+      let n = s.Respct.Runtime.checkpoints in
+      let per_ckpt ns = Printf.sprintf "%.1f" (ns /. float_of_int n /. 1e3) in
+      if n = 0 then None
+      else
+        Some
+          ( mode,
+            [
+              per_ckpt s.Respct.Runtime.stall_ns;
+              per_ckpt s.Respct.Runtime.overlap_ns;
+              string_of_int n;
+            ] ))
+    pts
 
 (* ------------------------------------------------------------------ *)
 (* Figure 10: overhead decomposition at full thread count. Rows are the

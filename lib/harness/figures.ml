@@ -13,7 +13,7 @@ type table = {
   rows : (string * string list) list;
 }
 
-type output = { tables : table list; json : Obs.Json.t option }
+type output = { tables : table list; json : Obs.Json.t list }
 
 let table title header rows = { title; header; rows }
 
@@ -71,10 +71,11 @@ let fig8 scale =
   {
     tables;
     json =
-      Some
-        (experiment scale "fig8" ~extra:(mops_series series)
+      [
+        experiment scale "fig8" ~extra:(mops_series series)
            (List.concat_map (fun (_, rows) -> List.concat_map snd rows)
-              groups));
+              groups);
+      ];
   }
 
 let fig9 scale =
@@ -86,9 +87,10 @@ let fig9 scale =
           (thread_header scale) (Experiments.fig9_rows rows);
       ];
     json =
-      Some
-        (experiment scale "fig9" ~extra:(mops_series rows)
-           (List.concat_map snd rows));
+      [
+        experiment scale "fig9" ~extra:(mops_series rows)
+           (List.concat_map snd rows);
+      ];
   }
 
 let fig10 scale =
@@ -105,8 +107,8 @@ let fig10 scale =
           (Experiments.fig10_rows rows);
       ];
     json =
-      Some
-        (experiment scale "fig10"
+      [
+        experiment scale "fig10"
            (List.concat_map
               (fun (cname, cells) ->
                 List.map
@@ -122,7 +124,8 @@ let fig10 scale =
                           ];
                     })
                   cells)
-              rows));
+              rows);
+      ];
   }
 
 let fig11 scale =
@@ -137,8 +140,8 @@ let fig11 scale =
           (Experiments.fig11_rows pts);
       ];
     json =
-      Some
-        (experiment scale "fig11"
+      [
+        experiment scale "fig11"
            ({ base with Obs.Run.label = "baseline/" ^ base.Obs.Run.label }
            :: List.map
                 (fun (period_ns, pt) ->
@@ -148,7 +151,8 @@ let fig11 scale =
                       pt.Obs.Run.params
                       @ [ ("period_ns", Obs.Json.Float period_ns) ];
                   })
-                sweep));
+                sweep);
+      ];
   }
 
 let fig12 scale =
@@ -163,7 +167,7 @@ let fig12 scale =
           [ "buckets"; "recovery (ms)"; "registry entries"; "rolled back" ]
           (Experiments.fig12_rows pts);
       ];
-    json = Some (experiment scale "fig12" pts);
+    json = [ experiment scale "fig12" pts ];
   }
 
 let app_scale (s : Experiments.scale) =
@@ -171,7 +175,7 @@ let app_scale (s : Experiments.scale) =
   else App_experiments.small
 
 let table_only title header rows =
-  { tables = [ table title header rows ]; json = None }
+  { tables = [ table title header rows ]; json = [] }
 
 let fig13 scale =
   table_only
@@ -218,6 +222,35 @@ let tab3 _scale =
     [ "application"; "instrumented LoC"; "total LoC"; "%" ]
     rows
 
+(* Not figures of the paper, but measured on the same worlds: the
+   checksum tax of sealed metadata (DESIGN.md section 8) and the
+   checkpoint pause that pipelining shrinks (section 12). *)
+let integrity scale =
+  let pts = Experiments.integrity_points ~scale () in
+  let sel f = List.concat_map (fun (_, cells) -> List.map f cells) pts in
+  {
+    tables =
+      [
+        table "Integrity tax (ResPCT sealed/raw Mops, delta)"
+          (thread_header scale)
+          (Experiments.integrity_overhead_rows pts);
+      ];
+    json =
+      [
+        Obs.Run.experiment "integrity-off" (sel (fun (_, off, _) -> off));
+        Obs.Run.experiment "integrity-on" (sel (fun (_, _, on) -> on));
+      ];
+  }
+
+let pause scale =
+  table_only
+    (Printf.sprintf
+       "Checkpoint pause: ResPCT HashMap at %d threads, 50%% updates \
+        (per checkpoint)"
+       (Experiments.pause_threads scale))
+    [ "mode"; "stall (us)"; "overlap (us)"; "checkpoints" ]
+    (Experiments.pause_rows (Experiments.pause_points ~scale ()))
+
 (* In the paper's order; a selection runs in this order. *)
 let all =
   [
@@ -230,4 +263,6 @@ let all =
     ("fig14", fig14);
     ("tab2", tab2);
     ("tab3", tab3);
+    ("integrity", integrity);
+    ("pause", pause);
   ]

@@ -1,13 +1,10 @@
-(* Minimal JSON document type with a deterministic printer and a small
-   reader.
+(* Minimal JSON document type with a deterministic printer.
 
    Hand-rolled on purpose: the container has no JSON library baked in and
    determinism of the output bytes is a test requirement (two same-seed
    runs must serialise to identical files). Objects are association lists,
    so field order is exactly construction order — never Hashtbl iteration
-   order. The reader exists for the one consumer in the repository: the
-   perf harness loading a committed benchmark baseline back for
-   [perf --compare]. *)
+   order. *)
 
 type t =
   | Null
@@ -118,195 +115,3 @@ let to_file path v =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string_pretty v))
-
-(* ------------------------------------------------------------------ *)
-(* Reader: a plain recursive-descent parser over the subset of JSON the
-   printers above emit (which is all of JSON minus exotic number forms).
-   Errors carry the byte offset so a truncated baseline file is
-   diagnosable. *)
-
-exception Parse_error of int * string
-
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\t' | '\n' | '\r' ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = c then advance ()
-    else fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape";
-           (match s.[!pos] with
-           | '"' -> Buffer.add_char buf '"'
-           | '\\' -> Buffer.add_char buf '\\'
-           | '/' -> Buffer.add_char buf '/'
-           | 'n' -> Buffer.add_char buf '\n'
-           | 'r' -> Buffer.add_char buf '\r'
-           | 't' -> Buffer.add_char buf '\t'
-           | 'b' -> Buffer.add_char buf '\b'
-           | 'f' -> Buffer.add_char buf '\012'
-           | 'u' ->
-               if !pos + 4 >= n then fail "truncated \\u escape";
-               let hex = String.sub s (!pos + 1) 4 in
-               let code =
-                 try int_of_string ("0x" ^ hex)
-                 with _ -> fail "bad \\u escape"
-               in
-               (* The printers only escape control characters, so the
-                  code point is always in the single-byte range. *)
-               if code > 0xff then fail "\\u escape out of supported range";
-               Buffer.add_char buf (Char.chr code);
-               pos := !pos + 4
-           | c -> fail (Printf.sprintf "bad escape %C" c));
-           advance ());
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_float = ref false in
-    let rec go () =
-      match peek () with
-      | '0' .. '9' | '-' | '+' ->
-          advance ();
-          go ()
-      | '.' | 'e' | 'E' ->
-          is_float := true;
-          advance ();
-          go ()
-      | _ -> ()
-    in
-    go ();
-    let lit = String.sub s start (!pos - start) in
-    if !is_float then
-      match float_of_string_opt lit with
-      | Some f -> Float f
-      | None -> fail (Printf.sprintf "bad number %S" lit)
-    else
-      match int_of_string_opt lit with
-      | Some i -> Int i
-      | None -> (
-          (* integers beyond the native range degrade to float *)
-          match float_of_string_opt lit with
-          | Some f -> Float f
-          | None -> fail (Printf.sprintf "bad number %S" lit))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | 'n' -> literal "null" Null
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | '"' -> String (parse_string ())
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then begin
-          advance ();
-          List []
-        end
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                elems (v :: acc)
-            | ']' ->
-                advance ();
-                List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elems []
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            (k, v)
-          in
-          let rec fields acc =
-            let kv = field () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                fields (kv :: acc)
-            | '}' ->
-                advance ();
-                Obj (List.rev (kv :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          fields []
-    | '-' | '0' .. '9' -> parse_number ()
-    | c -> fail (Printf.sprintf "unexpected %C" c)
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_error (at, msg) ->
-      Error (Printf.sprintf "JSON parse error at byte %d: %s" at msg)
-
-let of_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> of_string s
-  | exception Sys_error msg -> Error msg
-
-(* Field access helpers for the reader's consumers. *)
-let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
-
-let to_float_opt = function
-  | Float f -> Some f
-  | Int i -> Some (float_of_int i)
-  | _ -> None

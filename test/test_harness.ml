@@ -109,6 +109,18 @@ let test_fig12_rows () =
         (int_of_string (List.nth cells 1) > 0))
     rows
 
+(* The [figures pause] probe: both modes checkpoint, and pipelining
+   leaves only quiescence and handoff on the mutator's clock. *)
+let test_pause_rows () =
+  match Harness.Experiments.(pause_rows (pause_points ~scale:tiny ())) with
+  | [ ("classic", [ c_stall; _; _ ]); ("pipeline", [ p_stall; p_overlap; _ ]) ]
+    ->
+      Alcotest.(check bool) "pipelined stall below classic" true
+        (float_of_string p_stall < float_of_string c_stall);
+      Alcotest.(check bool) "flush overlapped" true
+        (float_of_string p_overlap > 0.0)
+  | rows -> Alcotest.failf "unexpected pause rows (%d)" (List.length rows)
+
 let contains s sub =
   let n = String.length sub in
   let rec go i =
@@ -416,6 +428,163 @@ let test_lint_json_golden () =
   Alcotest.(check string) "re-run produces the same bytes" (render ())
     (render ())
 
+(* Virtual-time totals pinned exactly: every Figure 8 and Figure 9
+   system, pipelined ResPCT with its stall and overlap, and one small run
+   of the sharded service, on the [tiny] world (100 us runs) over the
+   small scale's full thread sweep. The whole sweep takes under a second
+   of host time. Every float prints in hex ([%h]), so a one-ulp drift in
+   any cost, scheduling decision or checkpoint shows; FIG9 above rounds
+   to two decimals. *)
+let smoke =
+  {
+    tiny with
+    Harness.Experiments.sweep_threads =
+      Harness.Experiments.small.Harness.Experiments.sweep_threads;
+  }
+
+let sim_totals () =
+  let buf = Buffer.create 4096 in
+  let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  let sweep f =
+    List.iter f smoke.Harness.Experiments.sweep_threads
+  in
+  let totals what kind threads (r : Harness.Workload.result) =
+    line "%s %s t%d ops=%d elapsed=%h" what
+      (Harness.Systems.name_of kind) threads r.Harness.Workload.total_ops
+      r.Harness.Workload.elapsed_ns
+  in
+  List.iter
+    (fun kind ->
+      sweep (fun threads ->
+          let r, _ =
+            Harness.Experiments.map_point ~update_pct:50 smoke kind ~threads
+          in
+          totals "map" kind threads r))
+    Harness.Systems.map_kinds;
+  List.iter
+    (fun kind ->
+      sweep (fun threads ->
+          let r, _ = Harness.Experiments.queue_point smoke kind ~threads in
+          totals "queue" kind threads r))
+    Harness.Systems.queue_kinds;
+  let kind = Harness.Systems.Respct in
+  sweep (fun threads ->
+      let p =
+        {
+          (Harness.Experiments.params_for smoke ~threads ~kind) with
+          Harness.Systems.pipeline = true;
+        }
+      in
+      let r, rt =
+        Harness.Experiments.map_point ~update_pct:50 ~params:p smoke kind
+          ~threads
+      in
+      totals "pipe" kind threads r;
+      Option.iter
+        (fun rt ->
+          let s = Respct.Runtime.stats rt in
+          line "  stall=%h overlap=%h checkpoints=%d"
+            s.Respct.Runtime.stall_ns s.Respct.Runtime.overlap_ns
+            s.Respct.Runtime.checkpoints)
+        rt);
+  let r =
+    Service.Front.run
+      {
+        Service.Front.smoke with
+        Service.Front.sessions = 100;
+        requests = 6;
+        keys = 8_000;
+        prefill = 2_000;
+      }
+  in
+  line "service completed=%d makespan=%h" r.Service.Front.r_completed
+    r.Service.Front.r_makespan_ns;
+  Buffer.contents buf
+
+let sim_totals_golden =
+  {|map Transient<DRAM> t1 ops=1835 elapsed=0x1.86ed8p+16
+map Transient<DRAM> t4 ops=2084 elapsed=0x1.86e66p+16
+map Transient<DRAM> t16 ops=7276 elapsed=0x1.871948p+16
+map Transient<DRAM> t64 ops=24960 elapsed=0x1.87560ap+16
+map Transient<NVMM> t1 ops=1835 elapsed=0x1.86ed8p+16
+map Transient<NVMM> t4 ops=2093 elapsed=0x1.874cp+16
+map Transient<NVMM> t16 ops=7274 elapsed=0x1.873448p+16
+map Transient<NVMM> t64 ops=25156 elapsed=0x1.8772b4p+16
+map ResPCT t1 ops=612 elapsed=0x1.86aap+16
+map ResPCT t4 ops=1342 elapsed=0x1.87058p+16
+map ResPCT t16 ops=5400 elapsed=0x1.8703dp+16
+map ResPCT t64 ops=19400 elapsed=0x1.873c3cp+16
+map PMThreads t1 ops=629 elapsed=0x1.d8468p+16
+map PMThreads t4 ops=860 elapsed=0x1.876a4p+16
+map PMThreads t16 ops=5011 elapsed=0x1.873a18p+16
+map PMThreads t64 ops=18272 elapsed=0x1.87edbap+16
+map Montage t1 ops=576 elapsed=0x1.86b4p+16
+map Montage t4 ops=993 elapsed=0x1.87eaep+16
+map Montage t16 ops=3482 elapsed=0x1.996b7p+16
+map Montage t64 ops=10337 elapsed=0x1.8baeccp+16
+map Clobber-NVM t1 ops=366 elapsed=0x1.86fc8p+16
+map Clobber-NVM t4 ops=988 elapsed=0x1.8819p+16
+map Clobber-NVM t16 ops=3707 elapsed=0x1.87e1a8p+16
+map Clobber-NVM t64 ops=13700 elapsed=0x1.87d4fap+16
+map Quadra/Trinity t1 ops=447 elapsed=0x1.87798p+16
+map Quadra/Trinity t4 ops=1137 elapsed=0x1.8778ap+16
+map Quadra/Trinity t16 ops=4305 elapsed=0x1.87ab48p+16
+map Quadra/Trinity t64 ops=16387 elapsed=0x1.87a2c8p+16
+map SOFT t1 ops=460 elapsed=0x1.8718p+16
+map SOFT t4 ops=1347 elapsed=0x1.879cp+16
+map SOFT t16 ops=5267 elapsed=0x1.87a9e8p+16
+map SOFT t64 ops=20425 elapsed=0x1.882c54p+16
+map Dali t1 ops=166 elapsed=0x1.1443cp+17
+map Dali t4 ops=629 elapsed=0x1.87724p+16
+map Dali t16 ops=2609 elapsed=0x1.8701dp+16
+map Dali t64 ops=7800 elapsed=0x1.ade43p+16
+queue Transient<DRAM> t1 ops=1224 elapsed=0x1.86bb8p+16
+queue Transient<DRAM> t4 ops=278 elapsed=0x1.89146p+16
+queue Transient<DRAM> t16 ops=283 elapsed=0x1.937218p+16
+queue Transient<DRAM> t64 ops=335 elapsed=0x1.b6f7bp+16
+queue Transient<NVMM> t1 ops=1224 elapsed=0x1.86bb8p+16
+queue Transient<NVMM> t4 ops=278 elapsed=0x1.89146p+16
+queue Transient<NVMM> t16 ops=283 elapsed=0x1.937218p+16
+queue Transient<NVMM> t64 ops=335 elapsed=0x1.b6f7bp+16
+queue ResPCT t1 ops=558 elapsed=0x1.8717p+16
+queue ResPCT t4 ops=226 elapsed=0x1.8a69cp+16
+queue ResPCT t16 ops=215 elapsed=0x1.92d1bp+16
+queue ResPCT t64 ops=219 elapsed=0x1.9b2aap+16
+queue PMThreads t1 ops=499 elapsed=0x1.90a1p+16
+queue PMThreads t4 ops=203 elapsed=0x1.8de48p+16
+queue PMThreads t16 ops=226 elapsed=0x1.a2fd98p+16
+queue PMThreads t64 ops=260 elapsed=0x1.b62198p+16
+queue Montage t1 ops=505 elapsed=0x1.8703p+16
+queue Montage t4 ops=221 elapsed=0x1.8a5d2p+16
+queue Montage t16 ops=202 elapsed=0x1.8b0a4p+16
+queue Montage t64 ops=235 elapsed=0x1.af4348p+16
+queue Clobber-NVM t1 ops=150 elapsed=0x1.885ep+16
+queue Clobber-NVM t4 ops=174 elapsed=0x1.8cc86p+16
+queue Clobber-NVM t16 ops=180 elapsed=0x1.98c9dp+16
+queue Clobber-NVM t64 ops=226 elapsed=0x1.d3c562p+16
+queue Quadra/Trinity t1 ops=221 elapsed=0x1.86c7p+16
+queue Quadra/Trinity t4 ops=264 elapsed=0x1.8aed8p+16
+queue Quadra/Trinity t16 ops=268 elapsed=0x1.936aap+16
+queue Quadra/Trinity t64 ops=322 elapsed=0x1.b768d2p+16
+queue FriedmanQueue t1 ops=212 elapsed=0x1.879ep+16
+queue FriedmanQueue t4 ops=166 elapsed=0x1.8d05cp+16
+queue FriedmanQueue t16 ops=175 elapsed=0x1.9a961p+16
+queue FriedmanQueue t64 ops=223 elapsed=0x1.d5adecp+16
+pipe ResPCT t1 ops=685 elapsed=0x1.86aep+16
+  stall=0x1.fc2p+12 overlap=0x1.7551p+17 checkpoints=16
+pipe ResPCT t4 ops=1380 elapsed=0x1.874dp+16
+  stall=0x1.8a3p+12 overlap=0x1.cd34p+15 checkpoints=8
+pipe ResPCT t16 ops=5231 elapsed=0x1.872c4p+16
+  stall=0x1.cccp+11 overlap=0x1.9ce4p+14 checkpoints=5
+pipe ResPCT t64 ops=18664 elapsed=0x1.87556cp+16
+  stall=0x1.58fp+13 overlap=0x1.2b74p+14 checkpoints=5
+service completed=600 makespan=0x1.8c1e4p+19
+|}
+
+let test_sim_totals_golden () =
+  Alcotest.(check string) "virtual-time totals exact" sim_totals_golden
+    (sim_totals ())
+
 (* The static analyzer and the dynamic trace advisor automate the same
    section 3.3.2 rule from opposite ends; on the IR corpus they must
    agree (every dynamically observed WAR variable statically logged)
@@ -460,6 +629,7 @@ let () =
         [
           Alcotest.test_case "fig10 shape" `Quick test_fig10_shape;
           Alcotest.test_case "fig12 rows" `Quick test_fig12_rows;
+          Alcotest.test_case "pause rows" `Quick test_pause_rows;
           Alcotest.test_case "structured results deterministic" `Quick
             test_structured_results_deterministic;
         ] );
@@ -474,6 +644,7 @@ let () =
           Alcotest.test_case "crashmatrix smoke" `Quick test_crashmatrix_golden;
           Alcotest.test_case "lint diagnostics json" `Quick
             test_lint_json_golden;
+          Alcotest.test_case "sim totals" `Quick test_sim_totals_golden;
         ] );
       ( "rp advisor",
         [

@@ -33,6 +33,53 @@ let test_json_deterministic () =
     (Obs.Json.to_string (v ()))
     (Obs.Json.to_string (v ()))
 
+(* Writer golden: escapes, the exponent float form, negative ints and
+   empty containers, compact and indented. Compared against literal
+   strings so any change to the printed bytes shows. *)
+let test_json_writer_golden () =
+  let open Obs.Json in
+  let doc =
+    Obj
+      [
+        ("schema", String "writer-golden");
+        ("quote", String "a\"b\\c\n\t");
+        ("n", Int (-3));
+        ("x", Float 1.5);
+        ("tiny", Float 1.25e-7);
+        ("flag", Bool true);
+        ("nothing", Null);
+        ("xs", List [ Int 1; Float 2.0; String "z" ]);
+        ("empty", List []);
+        ("nested", Obj [ ("inner", Obj []) ]);
+      ]
+  in
+  Alcotest.(check string)
+    "compact"
+    {|{"schema":"writer-golden","quote":"a\"b\\c\n\t","n":-3,"x":1.5,"tiny":1.25e-07,"flag":true,"nothing":null,"xs":[1,2.0,"z"],"empty":[],"nested":{"inner":{}}}|}
+    (to_string doc);
+  Alcotest.(check string)
+    "pretty"
+    {|{
+  "schema": "writer-golden",
+  "quote": "a\"b\\c\n\t",
+  "n": -3,
+  "x": 1.5,
+  "tiny": 1.25e-07,
+  "flag": true,
+  "nothing": null,
+  "xs": [
+    1,
+    2.0,
+    "z"
+  ],
+  "empty": [],
+  "nested": {
+    "inner": {}
+  }
+}
+|}
+    (to_string_pretty doc)
+
 let test_metrics_registry () =
   let r = Obs.Metrics.create () in
   let a = Obs.Metrics.counter r "a" in
@@ -197,6 +244,7 @@ let () =
         [
           Alcotest.test_case "printer" `Quick test_json_printer;
           Alcotest.test_case "deterministic" `Quick test_json_deterministic;
+          Alcotest.test_case "writer golden" `Quick test_json_writer_golden;
         ] );
       ( "metrics",
         [
